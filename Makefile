@@ -18,11 +18,7 @@ vet:
 race:
 	go test -race ./...
 
-# Observability-overhead pairs (nil tracer vs live collector) land in
-# BENCH_obs.json; core candidate-search before/after pairs (parallel kernel
-# vs serial reference) land in BENCH_core.json; sustained session throughput
-# (serial + parallel streams) lands in BENCH_throughput.json.
+# The repository benchmark (csibench/, declared in BENCHMARK.json): every
+# workload end to end, one process each, as a table of metrics.
 bench:
-	./scripts/bench_obs.sh
-	./scripts/bench_core.sh
-	./scripts/bench_throughput.sh
+	python3 csibench/report.py

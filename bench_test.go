@@ -222,9 +222,9 @@ func BenchmarkInferMux(b *testing.B) {
 //
 // The obs layer promises that a nil tracer costs one pointer check on hot
 // paths. These pairs run the candidate search of the inference pipeline
-// with the production default (nil tracer) and with a live collector;
-// `make bench` records both (plus the sim/tcpsim pairs) in BENCH_obs.json.
-// Off must match the uninstrumented BenchmarkInferNoMux within noise.
+// with the production default (nil tracer) and with a live collector
+// (`go test -bench 'InferObs' .`). Off must match the uninstrumented
+// BenchmarkInferNoMux within noise.
 
 // BenchmarkInferObsOff runs the no-MUX inference with the nil tracer.
 func BenchmarkInferObsOff(b *testing.B) {

@@ -61,9 +61,8 @@ func main() {
 		cacheMB   = flag.Int64("half-cache-mb", 0, "share MUX half enumerations across flows through a process cache of this many MiB (0 = disabled; never changes results)")
 		degrade   = flag.Bool("degrade", true, "degrade impaired flows to partial inferences with warnings instead of failing them")
 		serve     = flag.String("serve", "", "serve the live ops plane (/metrics, /statusz incl. the flow table, /events, pprof) on this address")
-		stateDir  = flag.String("state-dir", "", "crash-safe state directory (frame WAL + snapshots); a restart recovers and continues with byte-identical output")
+		stateDir  = flag.String("state-dir", "", "crash-safe state directory (frame WAL + checkpoint log); a restart redoes the WAL from the last checkpoint and continues with byte-identical output")
 		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval[:N] (every N frames, default 256) or never")
-		snapEvery = flag.Int("snapshot-every", 4096, "attempt a state snapshot after this many WAL'd frames (at the next quiescent point)")
 	)
 	flag.Parse()
 	die := func(err error) {
@@ -203,7 +202,7 @@ func main() {
 			die(err)
 		}
 		dur, err = stream.OpenDurability(*stateDir, stream.DurabilityOptions{
-			SyncPolicy: policy, SyncEvery: every, SnapshotEvery: *snapEvery, Obs: opts.Obs,
+			SyncPolicy: policy, SyncEvery: every, Obs: opts.Obs,
 		})
 		if err != nil {
 			die(err)
@@ -213,7 +212,7 @@ func main() {
 	// Stream each result as it commits in live mode; replay writes the
 	// drained set at once (identical contents, deterministic bytes). After
 	// a crash, a durable live run suppresses the results its output file
-	// already holds beyond the snapshot (exactly-once to a file; stdout is
+	// already holds beyond the checkpoint (exactly-once to a file; stdout is
 	// at-least-once).
 	if liveMode {
 		skip := 0

@@ -11,8 +11,8 @@ import (
 // benchMuxFixture builds a fixed-seed mux candidate-search workload from a
 // Table-3 service profile: a real sampled manifest plus synthetic traffic
 // groups whose estimates come from a ground-truth walk through it. The
-// fixture is deterministic — the perf numbers in BENCH_core.json compare
-// the parallel kernel against the serial reference on identical inputs.
+// fixture is deterministic — the Benchmark*Serial pairs compare the
+// parallel kernel against the serial reference on identical inputs.
 func benchMuxFixture(tb testing.TB) (*media.Manifest, *Estimation, Params) {
 	tb.Helper()
 	svc, err := media.ServiceByName("Facebook")

@@ -1,13 +1,14 @@
 // Package crashpoint is the deterministic crash-injection harness behind
 // the streaming monitor's durability tests (DESIGN.md §13). The durability
 // code marks every boundary where a crash has a distinct recovery meaning —
-// before/after a WAL append, around a snapshot rename, before a commit is
-// emitted — with a named Here() call. A test (or the check.sh crash matrix)
-// arms exactly one point via Arm("name@N"); the Nth time execution reaches
-// it the process exits immediately with ExitCode, simulating a kill at that
-// precise instant. Recovery is then exercised for real: the harness
-// restarts the process against the same state directory and requires output
-// byte-identical to an uninterrupted run.
+// before/after a WAL append, around a checkpoint append and its fsync,
+// between WAL segment deletions, before a commit is emitted — with a named
+// Here() call. A test (or the check.sh crash matrix) arms exactly one point
+// via Arm("name@N"); the Nth time execution reaches it the process exits
+// immediately with ExitCode, simulating a kill at that precise instant.
+// Recovery is then exercised for real: the harness restarts the process
+// against the same state directory and requires output byte-identical to
+// an uninterrupted run.
 //
 // Disarmed, every Here() is a single atomic load — the hooks stay compiled
 // into production builds, so the tested binary is the shipped binary.
@@ -31,12 +32,14 @@ const ExitCode = 86
 // streaming monitor marks. Tests range over it so a new boundary cannot be
 // added without joining the crash matrix.
 var Points = []string{
-	"wal.pre_append",       // frame accepted, nothing written yet
-	"wal.post_append",      // record written (and synced per policy), state not yet mutated
-	"snapshot.pre_rename",  // snapshot temp file written+synced, rename pending
-	"snapshot.post_rename", // snapshot visible, old snapshots/WAL not yet truncated
-	"commit.pre_emit",      // result rendered, not yet committed/emitted
-	"drain.pre_snapshot",   // graceful drain finished, final snapshot pending
+	"wal.pre_append",         // frame accepted, nothing written yet
+	"wal.post_append",        // record written (and synced per policy), state not yet mutated
+	"checkpoint.pre_append",  // quiescent, frame WAL synced, checkpoint record not yet written
+	"checkpoint.post_append", // checkpoint record written, its fsync pending
+	"checkpoint.post_sync",   // checkpoint durable, WAL garbage collection pending
+	"gc.post_remove",         // one covered WAL segment removed, more may follow
+	"commit.pre_emit",        // result rendered, not yet committed/emitted
+	"drain.pre_checkpoint",   // graceful drain finished, final checkpoint pending
 }
 
 type armed struct {

@@ -8,7 +8,7 @@ import "testing"
 
 func TestArmSpecGrammar(t *testing.T) {
 	defer Arm("")
-	for _, spec := range []string{"", "wal.pre_append", "wal.pre_append@1", "snapshot.post_rename@37"} {
+	for _, spec := range []string{"", "wal.pre_append", "wal.pre_append@1", "checkpoint.post_sync@37"} {
 		if err := Arm(spec); err != nil {
 			t.Errorf("Arm(%q): %v", spec, err)
 		}

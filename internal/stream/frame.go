@@ -19,6 +19,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -150,7 +151,8 @@ func ReadFrames(r io.Reader) ([]Frame, error) {
 // by capture timestamp (ties broken by flow name, then by per-flow packet
 // order), with a close marker directly after each flow's last packet. This
 // is how recorded single-flow captures become a deterministic multi-flow
-// ingest recording for replay and tests.
+// ingest recording for replay and tests. The merge is a heap over each
+// flow's next packet: O(frames × log flows).
 func Pack(runs map[string]*capture.Trace) []Frame {
 	names := make([]string, 0, len(runs))
 	for name := range runs {
@@ -158,34 +160,61 @@ func Pack(runs map[string]*capture.Trace) []Frame {
 	}
 	sort.Strings(names)
 
-	idx := make([]int, len(names))
-	var out []Frame
-	for {
-		best := -1
-		for i, name := range names {
-			pkts := runs[name].Packets
-			if idx[i] >= len(pkts) {
-				continue
-			}
-			if best < 0 || pkts[idx[i]].Time < runs[names[best]].Packets[idx[best]].Time {
-				best = i
-			}
+	h := packHeap{runs: make([][]packet.View, len(names)), next: make([]int, len(names))}
+	total := 0
+	for i, name := range names {
+		h.runs[i] = runs[name].Packets
+		total += len(h.runs[i]) + 1
+		if len(h.runs[i]) > 0 {
+			h.flows = append(h.flows, i)
 		}
-		if best < 0 {
-			break
-		}
-		name := names[best]
-		out = append(out, Frame{Flow: name, Packet: runs[name].Packets[idx[best]]})
-		idx[best]++
-		if idx[best] == len(runs[name].Packets) {
-			out = append(out, Frame{Flow: name, Close: true})
+	}
+	heap.Init(&h)
+	out := make([]Frame, 0, total)
+	for len(h.flows) > 0 {
+		i := h.flows[0]
+		pkts := h.runs[i]
+		out = append(out, Frame{Flow: names[i], Packet: pkts[h.next[i]]})
+		h.next[i]++
+		if h.next[i] == len(pkts) {
+			out = append(out, Frame{Flow: names[i], Close: true})
+			heap.Pop(&h)
+		} else {
+			heap.Fix(&h, 0)
 		}
 	}
 	// Close markers for empty traces, in name order.
 	for i, name := range names {
-		if len(runs[name].Packets) == 0 && idx[i] == 0 {
+		if len(h.runs[i]) == 0 {
 			out = append(out, Frame{Flow: name, Close: true})
 		}
 	}
 	return out
+}
+
+// packHeap orders the flows with packets left by (next packet's time, name
+// index).
+type packHeap struct {
+	runs  [][]packet.View // per flow, in name order
+	next  []int           // per flow, index of its next packet
+	flows []int           // heap of flow indices
+}
+
+func (h *packHeap) Len() int { return len(h.flows) }
+
+func (h *packHeap) Less(a, b int) bool {
+	i, j := h.flows[a], h.flows[b]
+	ti, tj := h.runs[i][h.next[i]].Time, h.runs[j][h.next[j]].Time
+	return ti < tj || (ti == tj && i < j)
+}
+
+func (h *packHeap) Swap(a, b int) { h.flows[a], h.flows[b] = h.flows[b], h.flows[a] }
+
+func (h *packHeap) Push(x any) { h.flows = append(h.flows, x.(int)) }
+
+func (h *packHeap) Pop() any {
+	n := len(h.flows) - 1
+	x := h.flows[n]
+	h.flows = h.flows[:n]
+	return x
 }

@@ -2,9 +2,16 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"csi/internal/capture"
+	"csi/internal/packet"
 )
 
 // The FrameReader's diagnostics are part of the durability story: when a
@@ -109,4 +116,103 @@ func TestFrameReaderEmptyStream(t *testing.T) {
 	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("EOF not sticky: %v", err)
 	}
+}
+
+func packTrace(times ...float64) *capture.Trace {
+	tr := capture.NewTrace()
+	tap := tr.Tap()
+	for i, ts := range times {
+		tap(packet.View{Time: ts, ConnID: 1, Dir: packet.Down, Size: int64(100 + i)}, ts)
+	}
+	return tr
+}
+
+// TestPackTieBreaks pins Pack's order: equal timestamps across flows go in
+// name order, a flow's own packets keep their order, each close marker
+// follows its flow's last packet, and close markers for empty traces come
+// last, in name order.
+func TestPackTieBreaks(t *testing.T) {
+	frames := Pack(map[string]*capture.Trace{
+		"b":     packTrace(1, 2, 2),
+		"a":     packTrace(2, 2),
+		"c":     packTrace(1, 3),
+		"empty": packTrace(),
+		"d":     packTrace(),
+	})
+	var got []string
+	for _, f := range frames {
+		if f.Close {
+			got = append(got, f.Flow+":close")
+		} else {
+			got = append(got, fmt.Sprintf("%s:%g/%d", f.Flow, f.Packet.Time, f.Packet.Size))
+		}
+	}
+	want := []string{
+		"b:1/100", "c:1/100",
+		"a:2/100", "a:2/101", "a:close",
+		"b:2/101", "b:2/102", "b:close",
+		"c:3/101", "c:close",
+		"d:close", "empty:close",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Pack order\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestPackMatchesLinearMerge holds the heap merge to the plain
+// scan-every-flow merge it replaced, on tie-heavy random recordings.
+func TestPackMatchesLinearMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 50; round++ {
+		runs := map[string]*capture.Trace{}
+		for f := rng.Intn(6); f >= 0; f-- {
+			times := make([]float64, rng.Intn(12))
+			ts := 0.0
+			for i := range times {
+				ts += float64(rng.Intn(3))
+				times[i] = ts
+			}
+			runs[fmt.Sprintf("flow%d", rng.Intn(8))] = packTrace(times...)
+		}
+		got, want := Pack(runs), linearPack(runs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: heap merge diverged from the linear merge\n got: %+v\nwant: %+v", round, got, want)
+		}
+	}
+}
+
+// linearPack is the reference merge: scan every flow for the earliest next
+// packet, first in name order on ties.
+func linearPack(runs map[string]*capture.Trace) []Frame {
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	idx := make([]int, len(names))
+	out := []Frame{}
+	for {
+		best := -1
+		for i, name := range names {
+			pkts := runs[name].Packets
+			if idx[i] < len(pkts) && (best < 0 || pkts[idx[i]].Time < runs[names[best]].Packets[idx[best]].Time) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		name := names[best]
+		out = append(out, Frame{Flow: name, Packet: runs[name].Packets[idx[best]]})
+		idx[best]++
+		if idx[best] == len(runs[name].Packets) {
+			out = append(out, Frame{Flow: name, Close: true})
+		}
+	}
+	for i, name := range names {
+		if len(runs[name].Packets) == 0 && idx[i] == 0 {
+			out = append(out, Frame{Flow: name, Close: true})
+		}
+	}
+	return out
 }

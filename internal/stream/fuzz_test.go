@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"testing"
 
 	"csi/internal/capture"
@@ -51,7 +52,8 @@ func fuzzSeedFrames(tb testing.TB) []byte {
 // salvages must re-encode to exactly the valid prefix it reported — the
 // round trip that recovery's replay depends on. Seeds cover the shapes the
 // crash matrix produces for real: torn writes, bit flips, zero-length
-// records and oversized length prefixes.
+// records and oversized length prefixes, in frame-WAL and commit-log
+// (checkpoint) segments alike.
 func FuzzWALRecord(f *testing.F) {
 	rec := func(seq uint64, payload string) []byte { return encodeWALRecord(seq, []byte(payload)) }
 	valid := append(append(rec(1, `{"flow":"a"}`), rec(2, `{"flow":"b"}`)...), rec(3, `{"close":true}`)...)
@@ -67,6 +69,17 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(append(bytes.Clone(valid), oversized...))
 	gap := append(rec(1, "x"), rec(5, "y")...) // sequence gap
 	f.Add(gap)
+	ckpt := func(seq uint64, ck checkpoint) []byte {
+		payload, err := json.Marshal(ck)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return encodeWALRecord(seq, payload)
+	}
+	commitLog := append(ckpt(1, checkpoint{Seq: 512, First: 1, VNow: 3.25}),
+		ckpt(2, checkpoint{Seq: 1024, First: 1025, VNow: 7.5, Results: []Result{{Flow: "a", Reason: ReasonClose, Packets: 9}}})...)
+	f.Add(commitLog)
+	f.Add(commitLog[:len(commitLog)-3]) // torn final checkpoint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validLen, torn, reason := scanSegment(data, 0)

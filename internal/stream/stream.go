@@ -105,12 +105,12 @@ type Options struct {
 	OnResult func(Result)
 	// Durable, when non-nil, makes the monitor crash-safe: every accepted
 	// frame is WAL'd before it mutates the flow table, and quiescent
-	// points are snapshotted. Obtain via OpenDurability; seed a recovered
+	// points are checkpointed. Obtain via OpenDurability; seed a recovered
 	// monitor via Recover rather than New.
 	Durable *Durability
 
-	// restore carries a recovered snapshot into New (set by Recover only).
-	restore *Snapshot
+	// restore carries a recovered checkpoint into New (set by Recover only).
+	restore *recovery
 }
 
 func (o Options) withDefaults() Options {
@@ -143,6 +143,7 @@ type flowState struct {
 
 	packets  int
 	bytes    int64
+	firstSeq uint64  // ingest sequence of the frame that created the flow (WAL redo point)
 	lastSeq  uint64  // ingest sequence of the last accepted frame (LRU key)
 	lastTime float64 // max packet timestamp (virtual clock)
 
@@ -159,6 +160,11 @@ type flowState struct {
 	reason      string
 	warns       []core.Warning // stream-level warnings, appended after the inference's
 	dropped     int            // frames discarded after the finalization decision
+}
+
+func newFlow(name string, firstSeq uint64) *flowState {
+	tr := capture.NewTrace()
+	return &flowState{name: name, trace: tr, tap: tr.Tap(), memo: core.NewEstimateMemo(), firstSeq: firstSeq}
 }
 
 type solveDone struct {
@@ -202,6 +208,8 @@ type Monitor struct {
 	solveQ      []string
 	liveFlows   int // flows not yet finalizing
 	draining    bool
+	// checkpointed counts the results already in a checkpoint (Durable).
+	checkpointed int
 
 	quar *runner.Quarantine
 
@@ -253,7 +261,7 @@ func New(opts Options) *Monitor {
 	if opts.restore != nil {
 		// Recovery: seed the flow table and committed results before any
 		// goroutine can observe partial state.
-		m.restoreSnapshot(opts.restore)
+		m.restore(opts.restore)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -306,20 +314,21 @@ func (m *Monitor) Drain() []Result {
 	m.mu.Unlock()
 	<-m.doneCh
 	m.wg.Wait()
+	d := m.opts.Durable
 	m.mu.Lock()
 	results := m.results
-	var final *Snapshot
-	if m.opts.Durable != nil {
-		// Graceful drain: one last snapshot carrying every result (the
-		// flow table is empty and the commit sequence fully drained), then
-		// drop the WAL it covers — a clean restart skips replay entirely.
-		crashpointHere("drain.pre_snapshot")
-		final = m.snapshotLocked()
+	var final checkpoint
+	if d != nil {
+		// Graceful drain: one last checkpoint carrying the remaining
+		// results (the flow table is empty and the commit sequence fully
+		// drained), after which the whole WAL is garbage — a clean restart
+		// skips replay entirely.
+		crashpointHere("drain.pre_checkpoint")
+		final = m.checkpointLocked()
 	}
 	m.mu.Unlock()
-	if final != nil {
-		d := m.opts.Durable
-		d.writeSnapshot(final)
+	if d != nil {
+		d.writeCheckpoint(final)
 		d.close()
 	}
 	return results
@@ -380,7 +389,7 @@ func (m *Monitor) run() {
 			ring, drain = nil, nil // processed; stop selecting on both
 		}
 		m.dispatch()
-		m.maybeSnapshot()
+		m.maybeCheckpoint()
 		if m.draining && m.flowCount() == 0 {
 			close(m.tasks)
 			close(m.doneCh)
@@ -431,7 +440,7 @@ func (m *Monitor) handleFrame(f Frame) {
 	if d := m.opts.Durable; d != nil && m.seq > d.baseSeq {
 		// Write-ahead: the frame is durable before any state it mutates.
 		// Frames at or below baseSeq are the recovery tail — already in
-		// the WAL or covered by the snapshot.
+		// the WAL.
 		d.appendFrame(m.seq, &f)
 	}
 	m.mu.Lock()
@@ -449,8 +458,7 @@ func (m *Monitor) handleFrame(f Frame) {
 		if m.liveFlows >= m.opts.MaxFlows {
 			m.evictLRU()
 		}
-		tr := capture.NewTrace()
-		fs = &flowState{name: f.Flow, trace: tr, tap: tr.Tap(), memo: core.NewEstimateMemo()}
+		fs = newFlow(f.Flow, m.seq)
 		m.flows[f.Flow] = fs
 		m.liveFlows++
 		m.gActive.Set(float64(m.liveFlows))

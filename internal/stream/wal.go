@@ -6,23 +6,25 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// The frame write-ahead log (DESIGN.md §13). Every frame the control
-// goroutine accepts is appended here *before* it mutates the flow table, so
-// a crash at any instant loses no applied state: recovery restores the last
-// snapshot and replays the WAL suffix, which regenerates the exact state —
-// and therefore the exact output bytes — of an uninterrupted run.
+// The write-ahead logs (DESIGN.md §13). Every frame the control goroutine
+// accepts is appended to the frame WAL *before* it mutates the flow table,
+// so a crash at any instant loses no applied state: recovery restores the
+// last checkpoint from the commit log and redoes the frame WAL from the
+// checkpoint's redo point, which regenerates the exact state — and
+// therefore the exact output bytes — of an uninterrupted run. The WAL is
+// the only durable copy of a frame.
 //
-// On-disk format: segments named wal-<firstSeq, 20 digits>.seg, rotated by
-// size. Each record is
+// On-disk format: segments named <prefix><firstSeq, 20 digits>.seg (wal-
+// for frames, ckpt- for the commit log), rotated by size. Each record is
 //
 //	u32le payload length | u32le CRC32-IEEE(seq || payload) | u64le seq | payload
 //
-// where the payload is the frame's canonical JSON (the wire format). The
+// where the payload is the frame's canonical JSON (the wire format), or a
+// checkpoint's JSON in the commit log, whose seq numbers checkpoints. The
 // reader is a salvage scanner: a torn record at the tail of the *final*
 // segment is the expected shape of a crash mid-write and is tolerated
 // (ErrTruncatedTail semantics); a checksum mismatch, implausible length,
@@ -70,6 +72,7 @@ const (
 	walMaxRecordBytes = 16 << 20 // length-prefix plausibility bound
 	walSegSuffix      = ".seg"
 	walSegPrefix      = "wal-"
+	logSegPrefix      = "ckpt-"
 
 	defaultSegmentBytes = 8 << 20
 	defaultSyncEvery    = 256
@@ -108,6 +111,7 @@ type walSeg struct {
 // not concurrency-safe.
 type wal struct {
 	dir      string
+	prefix   string // segment name prefix: walSegPrefix or logSegPrefix
 	segBytes int64
 	segs     []walSeg
 	f        *os.File // open tail segment, nil until the first append
@@ -116,21 +120,19 @@ type wal struct {
 	closed   bool
 }
 
-// segSeq extracts the first-record sequence a segment file name encodes;
-// ok is false for files that are not WAL segments.
-func segSeq(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, walSegPrefix) || !strings.HasSuffix(name, walSegSuffix) {
-		return 0, false
+// isSegName reports whether name is a segment of the log with this prefix.
+func isSegName(prefix, name string) bool {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, walSegSuffix) {
+		return false
 	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, walSegPrefix), walSegSuffix), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	_, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), walSegSuffix), 10, 64)
+	return err == nil
 }
 
-func segName(firstSeq uint64) string {
-	return fmt.Sprintf("%s%020d%s", walSegPrefix, firstSeq, walSegSuffix)
+// segName names a segment after its first record; the zero padding makes
+// lexical order numeric order.
+func segName(prefix string, firstSeq uint64) string {
+	return fmt.Sprintf("%s%020d%s", prefix, firstSeq, walSegSuffix)
 }
 
 // scanSegment walks one segment's bytes. It returns the records of the
@@ -172,14 +174,14 @@ func scanSegment(data []byte, nextSeq uint64) (recs []walRecord, validLen int64,
 	return recs, int64(off), false, ""
 }
 
-// openWAL scans the given segment files (already name-sorted by the
-// caller), salvages the valid record prefix, truncates the on-disk tail to
-// exactly that prefix, and returns the WAL positioned for appending after
-// it. A torn tail in the final segment is tolerated silently (torn=true); a
-// mid-log stop is returned as a *WALCorruptError after salvage. Both leave
-// the WAL fully usable.
-func openWAL(dir string, segPaths []string, segBytes int64) (w *wal, recs []walRecord, torn bool, corrupt *WALCorruptError, err error) {
-	w = &wal{dir: dir, segBytes: segBytes}
+// openWAL scans the given segment files of the log with this prefix
+// (already name-sorted by the caller), salvages the valid record prefix,
+// truncates the on-disk tail to exactly that prefix, and returns the WAL
+// positioned for appending after it. A torn tail in the final segment is
+// tolerated silently (torn=true); a mid-log stop is returned as a
+// *WALCorruptError after salvage. Both leave the WAL fully usable.
+func openWAL(dir, prefix string, segPaths []string, segBytes int64) (w *wal, recs []walRecord, torn bool, corrupt *WALCorruptError, err error) {
+	w = &wal{dir: dir, prefix: prefix, segBytes: segBytes}
 	var nextSeq uint64
 	for i, path := range segPaths {
 		data, rerr := os.ReadFile(path)
@@ -307,7 +309,7 @@ func (w *wal) rotate(firstSeq uint64) error {
 		}
 		w.f = nil
 	}
-	path := filepath.Join(w.dir, segName(firstSeq))
+	path := filepath.Join(w.dir, segName(w.prefix, firstSeq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("stream: creating wal segment: %w", err)
@@ -328,10 +330,12 @@ func (w *wal) sync() error {
 	return nil
 }
 
-// truncateThrough removes every segment whose records are all covered by a
-// durable snapshot at seq — the snapshot owns that prefix now. The open
-// tail segment is closed and removed too when fully covered (the next
-// append starts a fresh segment).
+// truncateThrough removes every segment whose records all lie at or below
+// seq: the frame WAL's garbage collection once a durable checkpoint redoes
+// from seq+1 (DESIGN.md §13), oldest segment first, so a crash between
+// deletions leaves a WAL that still starts at or before the redo point.
+// The open tail segment is closed and removed too when fully covered (the
+// next append starts a fresh segment).
 func (w *wal) truncateThrough(seq uint64) error {
 	kept := w.segs[:0]
 	for i := range w.segs {
@@ -350,6 +354,7 @@ func (w *wal) truncateThrough(seq uint64) error {
 		if err := os.Remove(seg.path); err != nil {
 			return fmt.Errorf("stream: removing covered wal segment: %w", err)
 		}
+		crashpointHere("gc.post_remove")
 	}
 	w.segs = kept
 	return nil
@@ -382,14 +387,4 @@ func (w *wal) totalBytes() int64 {
 		n += seg.size
 	}
 	return n
-}
-
-// sortSegPaths orders segment paths by their encoded first sequence; the
-// caller passes paths discovered from a directory listing.
-func sortSegPaths(paths []string) {
-	sort.Slice(paths, func(i, j int) bool {
-		a, _ := segSeq(filepath.Base(paths[i]))
-		b, _ := segSeq(filepath.Base(paths[j]))
-		return a < b
-	})
 }

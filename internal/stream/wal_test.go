@@ -14,13 +14,12 @@ func walSegsOnDisk(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortSegPaths(paths)
-	return paths
+	return paths // Glob sorts; zero-padded names sort numerically
 }
 
 func openWALDir(t *testing.T, dir string, segBytes int64) (*wal, []walRecord, bool, *WALCorruptError) {
 	t.Helper()
-	w, recs, torn, corrupt, err := openWAL(dir, walSegsOnDisk(t, dir), segBytes)
+	w, recs, torn, corrupt, err := openWAL(dir, walSegPrefix, walSegsOnDisk(t, dir), segBytes)
 	if err != nil {
 		t.Fatalf("openWAL: %v", err)
 	}
@@ -259,7 +258,7 @@ func TestWALMidLogCorruption(t *testing.T) {
 	})
 }
 
-// TestWALTruncateThrough pins snapshot-driven prefix dropping: segments
+// TestWALTruncateThrough pins checkpoint-driven garbage collection: segments
 // fully covered by seq go away, newer ones stay, and the WAL remains
 // appendable whether or not the open tail was dropped.
 func TestWALTruncateThrough(t *testing.T) {

@@ -43,8 +43,9 @@ echo "== go test -race ./..."
 go test -race -timeout 30m ./...
 
 echo "== core bench smoke (1 iteration)"
-# One iteration of each mux candidate-search benchmark so the perf harness
-# behind scripts/bench_core.sh cannot rot without failing the gate.
+# One iteration of each mux candidate-search benchmark pair (parallel kernel
+# vs serial reference) so the Go benchmarks cannot rot without failing the
+# gate.
 go test -run='^$' -bench='^Benchmark(MuxCandidateSearch|WindowStats)(Serial)?$' \
     -benchtime=1x ./internal/core > /dev/null
 
@@ -111,11 +112,12 @@ go run ./cmd/csi-analyze -manifest "$obstmp/man.json" -run "$obstmp/run.json" \
 cmp "$obstmp/infer3.trace.jsonl" testdata/obs/infer.trace.jsonl
 cmp "$obstmp/infer3.metrics.txt" testdata/obs/infer.metrics.txt
 
-echo "== session throughput smoke (quick)"
-# One iteration of each throughput stream (serial + parallel, SH + SQ with
-# a shared warm half-cache) so the harness behind
-# scripts/bench_throughput.sh cannot rot without failing the gate.
-go run ./scripts/throughput -quick > /dev/null
+echo "== repository benchmark tests (csibench)"
+# csibench is a nested module (not covered by go test ./... above): tiny
+# runs of every workload must pass their output checks and print exactly
+# BENCHMARK.json's metrics, so the benchmark cannot rot without failing the
+# gate.
+(cd csibench && go test ./... > /dev/null)
 
 echo "== capture decoder fuzz smoke"
 # A few seconds of coverage-guided fuzzing over each run decoder. The static
@@ -176,29 +178,29 @@ echo "== crash-recovery matrix (kill -> recover -> byte-identical)"
 # the baseline: a durable uninterrupted run must itself match the
 # non-durable replay — -state-dir can never perturb output. Under -quick
 # only the two highest-value points run (a mid-stream WAL append and the
-# published-snapshot boundary); the full matrix covers all six.
+# durable-checkpoint boundary); the full matrix covers all eight.
 go build -o "$obstmp/csi-monitord" ./cmd/csi-monitord
 n=$(wc -l < "$obstmp/frames.jsonl")
 "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
-    -state-dir "$obstmp/durable-clean" -snapshot-every 8192 \
+    -state-dir "$obstmp/durable-clean" \
     -replay "$obstmp/frames.jsonl" -o "$obstmp/durable.jsonl" 2> /dev/null
 cmp "$obstmp/durable.jsonl" "$obstmp/replay.jsonl"
-crashpoints="wal.pre_append@$((n / 3)) wal.post_append@$((n / 2)) snapshot.pre_rename snapshot.post_rename commit.pre_emit drain.pre_snapshot"
+crashpoints="wal.pre_append@$((n / 3)) wal.post_append@$((n / 2)) checkpoint.pre_append checkpoint.post_append checkpoint.post_sync gc.post_remove commit.pre_emit drain.pre_checkpoint"
 if [ "$QUICK" = 1 ]; then
-    crashpoints="wal.post_append@$((n / 2)) snapshot.post_rename"
+    crashpoints="wal.post_append@$((n / 2)) checkpoint.post_sync"
 fi
 for pt in $crashpoints; do
     sdir="$obstmp/crash-$(echo "$pt" | tr '.@' '--')"
     rc=0
     CSI_CRASHPOINT="$pt" "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
-        -state-dir "$sdir" -snapshot-every 8192 \
+        -state-dir "$sdir" \
         -replay "$obstmp/frames.jsonl" -o "$sdir.out" > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 86 ]; then
         echo "crashpoint $pt: expected exit 86 from the armed run, got $rc" >&2
         exit 1
     fi
     "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
-        -state-dir "$sdir" -snapshot-every 8192 \
+        -state-dir "$sdir" \
         -replay "$obstmp/frames.jsonl" -o "$sdir.out" 2> /dev/null
     cmp "$sdir.out" "$obstmp/replay.jsonl"
 done
