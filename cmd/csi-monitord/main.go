@@ -1,5 +1,5 @@
 // csi-monitord is the long-running monitoring daemon: it ingests an
-// interleaved multi-flow frame stream (JSONL on stdin, or a recorded frame
+// interleaved multi-flow binary frame stream (on stdin, or a recorded frame
 // file) and runs the CSI inference incrementally over every flow, emitting
 // one result line per finalized flow. SIGINT/SIGTERM drains gracefully:
 // every live flow is flushed to a final (possibly partial) inference before
@@ -7,10 +7,10 @@
 //
 // Modes:
 //
-//	csi-monitord -manifest m.json                      # live: frames on stdin
-//	csi-monitord -manifest m.json -replay frames.jsonl # deterministic replay
-//	csi-monitord -manifest m.json -batch  frames.jsonl # offline reference pipeline
-//	csi-monitord -pack -o frames.jsonl a.json b.json   # record runs -> frame stream
+//	csi-monitord -manifest m.json                    # live: frames on stdin
+//	csi-monitord -manifest m.json -replay frames.bin # deterministic replay
+//	csi-monitord -manifest m.json -batch  frames.bin # offline reference pipeline
+//	csi-monitord -pack -o frames.bin a.bin b.json    # record runs -> frame stream
 //
 // Replay and batch produce byte-identical output over the same frames (the
 // repository's replay determinism gate); live mode adds wall-clock-driven
@@ -26,6 +26,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -46,12 +48,12 @@ func main() {
 		host      = flag.String("host", "", "media SNI host (default: manifest host)")
 		replay    = flag.String("replay", "", "replay a recorded frame stream deterministically (blocking ingest, no wall clock)")
 		batch     = flag.String("batch", "", "run the offline batch pipeline over a recorded frame stream (reference for replay identity)")
-		pack      = flag.Bool("pack", false, "pack capture run JSONs (args) into one interleaved frame stream")
+		pack      = flag.Bool("pack", false, "pack capture runs (args; .json or .bin) into one interleaved frame stream")
 		out       = flag.String("o", "", "output path (default stdout)")
 		maxFlows  = flag.Int("max-flows", 64, "flow table cap; beyond it the least-recently-active flow is evicted to a partial result")
 		memBudget = flag.Int64("flow-mem-budget", 64<<20, "per-flow buffered-bytes budget; a breaching flow is finalized early with a flow_evicted warning")
 		shed      = flag.String("shed-policy", stream.ShedDrop, "ingest overload policy: drop (shed newest) or block (back-pressure)")
-		ringSize  = flag.Int("ring", 4096, "ingest ring capacity (frames)")
+		ringSize  = flag.Int("ring", stream.DefaultRingSize, "ingest ring capacity (frames)")
 		resolve   = flag.Int("resolve-every", 0, "re-solve a flow after this many new packets (0 = solve only at finalization)")
 		budget    = flag.Int64("work-budget", 0, "deterministic per-solve guard step budget (0 = unbounded)")
 		deadline  = flag.Float64("solve-deadline", 0, "wall-clock per-solve deadline seconds, live mode only (0 = none)")
@@ -63,11 +65,42 @@ func main() {
 		serve     = flag.String("serve", "", "serve the live ops plane (/metrics, /statusz incl. the flow table, /events, pprof) on this address")
 		stateDir  = flag.String("state-dir", "", "crash-safe state directory (frame WAL + checkpoint log); a restart redoes the WAL from the last checkpoint and continues with byte-identical output")
 		walSync   = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval[:N] (every N frames, default 256) or never")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile taken after the drain to this path (go tool pprof)")
 	)
 	flag.Parse()
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "csi-monitord:", err)
 		os.Exit(1)
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			die(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			die(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "csi-monitord:", err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer func() {
+			f, err := os.Create(*memProf)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "csi-monitord:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle the heap so the profile reflects retained memory
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "csi-monitord:", err)
+			}
+		}()
 	}
 
 	// Crash injection (tests and the check.sh crash matrix only): the env
@@ -108,7 +141,7 @@ func main() {
 	}
 
 	if *pack {
-		if err := packRuns(flag.Args(), output); err != nil {
+		if err := packRuns(flag.Args(), output, os.Stderr); err != nil {
 			die(err)
 		}
 		return
@@ -353,15 +386,17 @@ func loadFrames(path string) ([]stream.Frame, error) {
 	return stream.ReadFrames(f)
 }
 
-// packRuns merges capture run JSONs into one interleaved frame recording;
-// flows are named by file base name (extension stripped).
-func packRuns(paths []string, w io.Writer) error {
+// packRuns merges capture runs (JSON or CSIRUN binary) into one
+// interleaved frame recording; flows are named by file base name (extension
+// stripped). It reports the frame and flow counts on log (stderr), which
+// scripts use to size crash points.
+func packRuns(paths []string, w, log io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("-pack needs capture run files as arguments")
 	}
 	runs := make(map[string]*capture.Trace, len(paths))
 	for _, path := range paths {
-		run, err := capture.LoadJSON(path)
+		run, err := capture.LoadAny(path)
 		if err != nil {
 			return err
 		}
@@ -371,5 +406,10 @@ func packRuns(paths []string, w io.Writer) error {
 		}
 		runs[name] = run.Trace
 	}
-	return stream.WriteFrames(w, stream.Pack(runs))
+	frames := stream.Pack(runs)
+	if err := stream.WriteFrames(w, frames); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(log, "packed %d frames (%d flows)\n", len(frames), len(runs))
+	return err
 }

@@ -1,8 +1,9 @@
 package capture
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,347 +20,325 @@ import (
 //
 //	magic "CSIRUN" | version u8 | sections (SNI, DNS, IPs, packets,
 //	truth, display, stalls), each length-prefixed.
+//
+// The per-packet record (AppendPacketRecord / DecodePacketRecord) is the
+// repository's one packet codec: the daemon's frame stream and its WAL
+// carry the same bytes.
 const (
 	binMagic   = "CSIRUN"
 	binVersion = 1
+
+	// maxStrBytes bounds one decoded string (a corrupt length must not
+	// allocate gigabytes).
+	maxStrBytes = 1 << 20
+	// minPacketRecord is the smallest encoded packet record: flags, time
+	// and eight integer fields of one byte each.
+	minPacketRecord = 10
 )
 
-type binWriter struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
+// Packet record flag bits.
+const (
+	flagDown    = 1
+	flagUDP     = 2
+	flagQUICLng = 4
+	flagStrings = 8 // rare string fields present
+	knownFlags  = flagDown | flagUDP | flagQUICLng | flagStrings
+)
+
+func appendF64(b []byte, v float64) []byte { return binary.AppendUvarint(b, math.Float64bits(v)) }
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// AppendPacketRecord appends v's packet record (the CSIRUN v1 per-packet
+// encoding) to dst.
+func AppendPacketRecord(dst []byte, v *packet.View) []byte {
+	flags := uint64(0)
+	if v.Dir == packet.Down {
+		flags |= flagDown
+	}
+	if v.Proto == packet.UDP {
+		flags |= flagUDP
+	}
+	if v.QUICLong {
+		flags |= flagQUICLng
+	}
+	if v.SNI != "" || v.DNSQuery != "" || v.DNSAnswerIP != "" || v.ServerIP != "" {
+		flags |= flagStrings
+	}
+	dst = binary.AppendUvarint(dst, flags)
+	dst = appendF64(dst, v.Time)
+	dst = binary.AppendVarint(dst, int64(v.ConnID))
+	dst = binary.AppendVarint(dst, v.Size)
+	dst = binary.AppendVarint(dst, v.TCPSeq)
+	dst = binary.AppendVarint(dst, v.TCPPayload)
+	dst = binary.AppendVarint(dst, v.TLSAppBytes)
+	dst = binary.AppendVarint(dst, v.TLSHSBytes)
+	dst = binary.AppendVarint(dst, v.QUICPN)
+	dst = binary.AppendVarint(dst, v.QUICPayload)
+	if flags&flagStrings != 0 {
+		dst = appendStr(dst, v.SNI)
+		dst = appendStr(dst, v.DNSQuery)
+		dst = appendStr(dst, v.DNSAnswerIP)
+		dst = appendStr(dst, v.ServerIP)
+	}
+	return dst
+}
+
+// DecodePacketRecord parses one packet record from the front of b into v
+// and returns the bytes it consumed. A record cut short by the end of b
+// fails with io.ErrUnexpectedEOF.
+func DecodePacketRecord(b []byte, v *packet.View) (int, error) {
+	d := binDecoder{b: b}
+	d.packet(v)
+	return len(b) - len(d.b), d.err
+}
+
+var errVarint = errors.New("malformed varint")
+
+// binDecoder reads the format's primitives from the front of a byte
+// slice. The first error is sticky: every later read returns zero.
+type binDecoder struct {
+	b   []byte
 	err error
 }
 
-func (b *binWriter) uvarint(v uint64) {
-	if b.err != nil {
+func (d *binDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *binDecoder) varintErr(n int) {
+	if n == 0 {
+		d.fail(io.ErrUnexpectedEOF)
+	} else {
+		d.fail(errVarint)
+	}
+}
+
+func (d *binDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.varintErr(n)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *binDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.varintErr(n)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *binDecoder) f64() float64 { return math.Float64frombits(d.uvarint()) }
+
+func (d *binDecoder) str() string {
+	n := d.uvarint()
+	switch {
+	case d.err != nil:
+		return ""
+	case n > maxStrBytes:
+		d.fail(fmt.Errorf("implausible string length %d", n))
+		return ""
+	case n > uint64(len(d.b)):
+		d.fail(io.ErrUnexpectedEOF)
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// count reads a section's element count. Every element takes at least
+// minBytes, so a count the remaining bytes cannot hold is corruption, and
+// never sizes an allocation.
+func (d *binDecoder) count(minBytes int) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)/minBytes) {
+		d.fail(fmt.Errorf("implausible count %d", n))
+		return 0
+	}
+	return n
+}
+
+func (d *binDecoder) packet(v *packet.View) {
+	*v = packet.View{}
+	flags := d.uvarint()
+	if flags&^knownFlags != 0 {
+		d.fail(fmt.Errorf("unknown packet flags %#x", flags))
 		return
 	}
-	n := binary.PutUvarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *binWriter) varint(v int64) {
-	if b.err != nil {
-		return
+	if flags&flagDown != 0 {
+		v.Dir = packet.Down
 	}
-	n := binary.PutVarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *binWriter) f64(v float64) { b.uvarint(math.Float64bits(v)) }
-
-func (b *binWriter) str(s string) {
-	b.uvarint(uint64(len(s)))
-	if b.err == nil {
-		_, b.err = b.w.WriteString(s)
+	if flags&flagUDP != 0 {
+		v.Proto = packet.UDP
 	}
-}
-
-type binReader struct {
-	r *bufio.Reader
-}
-
-func (b *binReader) uvarint() (uint64, error) { return binary.ReadUvarint(b.r) }
-func (b *binReader) varint() (int64, error)   { return binary.ReadVarint(b.r) }
-
-func (b *binReader) f64() (float64, error) {
-	v, err := b.uvarint()
-	return math.Float64frombits(v), err
-}
-
-func (b *binReader) str() (string, error) {
-	n, err := b.uvarint()
-	if err != nil {
-		return "", err
+	v.QUICLong = flags&flagQUICLng != 0
+	v.Time = d.f64()
+	v.ConnID = int(d.varint())
+	v.Size = d.varint()
+	v.TCPSeq = d.varint()
+	v.TCPPayload = d.varint()
+	v.TLSAppBytes = d.varint()
+	v.TLSHSBytes = d.varint()
+	v.QUICPN = d.varint()
+	v.QUICPayload = d.varint()
+	if flags&flagStrings != 0 {
+		v.SNI = d.str()
+		v.DNSQuery = d.str()
+		v.DNSAnswerIP = d.str()
+		v.ServerIP = d.str()
 	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("capture: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(b.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // WriteBinary serializes the run in the compact binary format.
 func (r *Run) WriteBinary(w io.Writer) error {
-	bw := &binWriter{w: bufio.NewWriter(w)}
-	if _, err := bw.w.WriteString(binMagic); err != nil {
-		return err
+	const chunk = 64 << 10
+	b := make([]byte, 0, 2*chunk)
+	var err error
+	flush := func() {
+		if err == nil && len(b) > 0 {
+			_, err = w.Write(b)
+		}
+		b = b[:0]
 	}
-	bw.uvarint(binVersion)
+	b = append(b, binMagic...)
+	b = binary.AppendUvarint(b, binVersion)
 
 	t := r.Trace
-	bw.uvarint(uint64(len(t.SNI)))
+	b = binary.AppendUvarint(b, uint64(len(t.SNI)))
 	for id, host := range t.SNI {
-		bw.varint(int64(id))
-		bw.str(host)
+		b = appendStr(binary.AppendVarint(b, int64(id)), host)
 	}
-	bw.uvarint(uint64(len(t.DNS)))
+	b = binary.AppendUvarint(b, uint64(len(t.DNS)))
 	for ip, host := range t.DNS {
-		bw.str(ip)
-		bw.str(host)
+		b = appendStr(appendStr(b, ip), host)
 	}
-	bw.uvarint(uint64(len(t.ServerIP)))
+	b = binary.AppendUvarint(b, uint64(len(t.ServerIP)))
 	for id, ip := range t.ServerIP {
-		bw.varint(int64(id))
-		bw.str(ip)
+		b = appendStr(binary.AppendVarint(b, int64(id)), ip)
 	}
 
-	bw.uvarint(uint64(len(t.Packets)))
+	b = binary.AppendUvarint(b, uint64(len(t.Packets)))
 	for i := range t.Packets {
-		v := &t.Packets[i]
-		flags := uint64(0)
-		if v.Dir == packet.Down {
-			flags |= 1
-		}
-		if v.Proto == packet.UDP {
-			flags |= 2
-		}
-		if v.QUICLong {
-			flags |= 4
-		}
-		if v.SNI != "" || v.DNSQuery != "" || v.DNSAnswerIP != "" || v.ServerIP != "" {
-			flags |= 8 // rare string fields present
-		}
-		bw.uvarint(flags)
-		bw.f64(v.Time)
-		bw.varint(int64(v.ConnID))
-		bw.varint(v.Size)
-		bw.varint(v.TCPSeq)
-		bw.varint(v.TCPPayload)
-		bw.varint(v.TLSAppBytes)
-		bw.varint(v.TLSHSBytes)
-		bw.varint(v.QUICPN)
-		bw.varint(v.QUICPayload)
-		if flags&8 != 0 {
-			bw.str(v.SNI)
-			bw.str(v.DNSQuery)
-			bw.str(v.DNSAnswerIP)
-			bw.str(v.ServerIP)
+		b = AppendPacketRecord(b, &t.Packets[i])
+		if len(b) >= chunk {
+			flush()
 		}
 	}
 
-	bw.uvarint(uint64(len(r.Truth)))
+	b = binary.AppendUvarint(b, uint64(len(r.Truth)))
 	for _, tr := range r.Truth {
-		bw.f64(tr.ReqTime)
-		bw.f64(tr.DoneTime)
-		bw.varint(int64(tr.Ref.Track))
-		bw.varint(int64(tr.Ref.Index))
-		bw.uvarint(uint64(tr.Kind))
-		bw.varint(tr.Size)
+		b = appendF64(appendF64(b, tr.ReqTime), tr.DoneTime)
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(tr.Ref.Track)), int64(tr.Ref.Index))
+		b = binary.AppendVarint(binary.AppendUvarint(b, uint64(tr.Kind)), tr.Size)
 	}
-	bw.uvarint(uint64(len(r.Display)))
+	b = binary.AppendUvarint(b, uint64(len(r.Display)))
 	for _, d := range r.Display {
-		bw.f64(d.Start)
-		bw.f64(d.End)
-		bw.varint(int64(d.Index))
-		bw.varint(int64(d.Track))
+		b = appendF64(appendF64(b, d.Start), d.End)
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(d.Index)), int64(d.Track))
 	}
-	bw.uvarint(uint64(len(r.Stalls)))
+	b = binary.AppendUvarint(b, uint64(len(r.Stalls)))
 	for _, s := range r.Stalls {
-		bw.f64(s.Start)
-		bw.f64(s.End)
+		b = appendF64(appendF64(b, s.Start), s.End)
 	}
-	if bw.err != nil {
-		return fmt.Errorf("capture: writing binary run: %w", bw.err)
+	flush()
+	if err != nil {
+		return fmt.Errorf("capture: writing binary run: %w", err)
 	}
-	return bw.w.Flush()
+	return nil
 }
 
 // ReadBinary parses a run from the compact binary format.
 func ReadBinary(rd io.Reader) (*Run, error) {
-	br := &binReader{r: bufio.NewReader(rd)}
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(br.r, magic); err != nil {
-		return nil, fmt.Errorf("capture: reading magic: %w", err)
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("capture: reading binary run: %w", err)
 	}
-	if string(magic) != binMagic {
+	if !bytes.HasPrefix(data, []byte(binMagic)) {
 		return nil, fmt.Errorf("capture: not a binary run file")
 	}
-	ver, err := br.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ver != binVersion {
+	d := &binDecoder{b: data[len(binMagic):]}
+	if ver := d.uvarint(); d.err != nil {
+		return nil, fmt.Errorf("capture: reading binary version: %w", d.err)
+	} else if ver != binVersion {
 		return nil, fmt.Errorf("capture: unsupported binary version %d", ver)
 	}
 
 	run := &Run{Trace: NewTrace()}
 	t := run.Trace
-
-	fail := func(section string, err error) (*Run, error) {
-		return nil, fmt.Errorf("capture: binary section %s: %w", section, err)
+	fail := func(section string) (*Run, error) {
+		return nil, fmt.Errorf("capture: binary section %s: %w", section, d.err)
 	}
 
-	n, err := br.uvarint()
-	if err != nil {
-		return fail("sni", err)
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		id := d.varint()
+		t.SNI[int(id)] = d.str()
 	}
-	for i := uint64(0); i < n; i++ {
-		id, err := br.varint()
-		if err != nil {
-			return fail("sni", err)
-		}
-		host, err := br.str()
-		if err != nil {
-			return fail("sni", err)
-		}
-		t.SNI[int(id)] = host
+	if d.err != nil {
+		return fail("sni")
 	}
-	if n, err = br.uvarint(); err != nil {
-		return fail("dns", err)
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		ip := d.str()
+		t.DNS[ip] = d.str()
 	}
-	for i := uint64(0); i < n; i++ {
-		ip, err := br.str()
-		if err != nil {
-			return fail("dns", err)
-		}
-		host, err := br.str()
-		if err != nil {
-			return fail("dns", err)
-		}
-		t.DNS[ip] = host
+	if d.err != nil {
+		return fail("dns")
 	}
-	if n, err = br.uvarint(); err != nil {
-		return fail("ips", err)
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		id := d.varint()
+		t.ServerIP[int(id)] = d.str()
 	}
-	for i := uint64(0); i < n; i++ {
-		id, err := br.varint()
-		if err != nil {
-			return fail("ips", err)
-		}
-		ip, err := br.str()
-		if err != nil {
-			return fail("ips", err)
-		}
-		t.ServerIP[int(id)] = ip
+	if d.err != nil {
+		return fail("ips")
 	}
 
-	if n, err = br.uvarint(); err != nil {
-		return fail("packets", err)
-	}
-	if n > 1<<31 {
-		return fail("packets", fmt.Errorf("implausible count %d", n))
-	}
-	// Grow from a bounded capacity rather than trusting the declared count:
-	// a corrupt header must not allocate gigabytes up front.
-	pre := n
-	if pre > 1<<16 {
-		pre = 1 << 16
-	}
-	t.Packets = make([]packet.View, 0, pre)
-	for i := uint64(0); i < n; i++ {
+	n := d.count(minPacketRecord)
+	// Grow from a bounded capacity rather than trusting the declared count.
+	t.Packets = make([]packet.View, 0, min(n, 1<<16))
+	for ; n > 0; n-- {
 		var v packet.View
-		flags, err := br.uvarint()
-		if err != nil {
-			return fail("packets", err)
-		}
-		if flags&1 != 0 {
-			v.Dir = packet.Down
-		}
-		if flags&2 != 0 {
-			v.Proto = packet.UDP
-		}
-		v.QUICLong = flags&4 != 0
-		if v.Time, err = br.f64(); err != nil {
-			return fail("packets", err)
-		}
-		conn, err := br.varint()
-		if err != nil {
-			return fail("packets", err)
-		}
-		v.ConnID = int(conn)
-		ints := []*int64{&v.Size, &v.TCPSeq, &v.TCPPayload, &v.TLSAppBytes, &v.TLSHSBytes, &v.QUICPN, &v.QUICPayload}
-		for _, p := range ints {
-			if *p, err = br.varint(); err != nil {
-				return fail("packets", err)
-			}
-		}
-		if flags&8 != 0 {
-			if v.SNI, err = br.str(); err != nil {
-				return fail("packets", err)
-			}
-			if v.DNSQuery, err = br.str(); err != nil {
-				return fail("packets", err)
-			}
-			if v.DNSAnswerIP, err = br.str(); err != nil {
-				return fail("packets", err)
-			}
-			if v.ServerIP, err = br.str(); err != nil {
-				return fail("packets", err)
-			}
+		if d.packet(&v); d.err != nil {
+			return fail("packets")
 		}
 		t.Packets = append(t.Packets, v)
 	}
 
-	if n, err = br.uvarint(); err != nil {
-		return fail("truth", err)
-	}
-	for i := uint64(0); i < n; i++ {
+	for n := d.count(6); n > 0 && d.err == nil; n-- {
 		var tr TruthRecord
-		if tr.ReqTime, err = br.f64(); err != nil {
-			return fail("truth", err)
-		}
-		if tr.DoneTime, err = br.f64(); err != nil {
-			return fail("truth", err)
-		}
-		track, err := br.varint()
-		if err != nil {
-			return fail("truth", err)
-		}
-		idx, err := br.varint()
-		if err != nil {
-			return fail("truth", err)
-		}
-		kind, err := br.uvarint()
-		if err != nil {
-			return fail("truth", err)
-		}
-		if tr.Size, err = br.varint(); err != nil {
-			return fail("truth", err)
-		}
-		tr.Ref = media.ChunkRef{Track: int(track), Index: int(idx)}
-		tr.Kind = media.Type(kind)
+		tr.ReqTime, tr.DoneTime = d.f64(), d.f64()
+		tr.Ref.Track, tr.Ref.Index = int(d.varint()), int(d.varint())
+		tr.Kind = media.Type(d.uvarint())
+		tr.Size = d.varint()
 		run.Truth = append(run.Truth, tr)
 	}
-
-	if n, err = br.uvarint(); err != nil {
-		return fail("display", err)
+	if d.err != nil {
+		return fail("truth")
 	}
-	for i := uint64(0); i < n; i++ {
-		var d DisplayRecord
-		if d.Start, err = br.f64(); err != nil {
-			return fail("display", err)
-		}
-		if d.End, err = br.f64(); err != nil {
-			return fail("display", err)
-		}
-		idx, err := br.varint()
-		if err != nil {
-			return fail("display", err)
-		}
-		track, err := br.varint()
-		if err != nil {
-			return fail("display", err)
-		}
-		d.Index, d.Track = int(idx), int(track)
-		run.Display = append(run.Display, d)
+	for n := d.count(4); n > 0 && d.err == nil; n-- {
+		var dr DisplayRecord
+		dr.Start, dr.End = d.f64(), d.f64()
+		dr.Index, dr.Track = int(d.varint()), int(d.varint())
+		run.Display = append(run.Display, dr)
 	}
-
-	if n, err = br.uvarint(); err != nil {
-		return fail("stalls", err)
+	if d.err != nil {
+		return fail("display")
 	}
-	for i := uint64(0); i < n; i++ {
-		var s StallRecord
-		if s.Start, err = br.f64(); err != nil {
-			return fail("stalls", err)
-		}
-		if s.End, err = br.f64(); err != nil {
-			return fail("stalls", err)
-		}
-		run.Stalls = append(run.Stalls, s)
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		run.Stalls = append(run.Stalls, StallRecord{Start: d.f64(), End: d.f64()})
+	}
+	if d.err != nil {
+		return fail("stalls")
 	}
 	return run, nil
 }

@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"encoding/hex"
 	"path/filepath"
 	"testing"
 
@@ -201,6 +202,59 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if len(got.Stalls) != 1 || got.Stalls[0] != r.Stalls[0] {
 		t.Fatalf("stalls mismatch: %+v", got.Stalls)
+	}
+}
+
+// pinnedRun exercises every packet record field and flag, with one entry
+// per trace map so that WriteBinary's output does not depend on map order.
+func pinnedRun() *Run {
+	tr := NewTrace()
+	tap := tr.Tap()
+	tap(packet.View{Dir: packet.Up, ConnID: 1, Size: 100, SNI: "media.example.com", ServerIP: "10.0.0.1", Proto: packet.TCP}, 0.125)
+	tap(packet.View{Dir: packet.Down, ConnID: 1, Size: 1452, TCPSeq: 1, TCPPayload: 1400, TLSAppBytes: 1380, TLSHSBytes: 7, Proto: packet.TCP}, 0.2)
+	tap(packet.View{Dir: packet.Up, ConnID: 3, Size: 80, DNSQuery: "media.example.com", DNSAnswerIP: "10.0.0.1", Proto: packet.UDP}, 0.25)
+	tap(packet.View{Dir: packet.Down, ConnID: 3, Size: 96, DNSAnswerIP: "10.0.0.2", Proto: packet.UDP}, 0.3)
+	tap(packet.View{Dir: packet.Down, ConnID: 2, Size: 1350, QUICPN: 77, QUICPayload: 1300, QUICLong: true, Proto: packet.UDP}, 1e6+0.5)
+	tap(packet.View{Dir: packet.Up, ConnID: -4, Size: -1, TCPSeq: -9}, -2.5)
+	return &Run{
+		Trace:   tr,
+		Truth:   []TruthRecord{{ReqTime: 0.1, DoneTime: 0.5, Ref: media.ChunkRef{Track: 1, Index: 3}, Kind: media.Video, Size: 1380}},
+		Display: []DisplayRecord{{Start: 1, End: 6, Index: 2, Track: 1}},
+		Stalls:  []StallRecord{{Start: 2, End: 3}},
+	}
+}
+
+// pinnedRunBinary is pinnedRun in CSIRUN v1 as the original streaming
+// encoder wrote it: run files and fuzz corpora on disk stay valid only while
+// WriteBinary reproduces these bytes.
+const pinnedRunBinary = "" +
+	"43534952554e010102116d656469612e6578616d706c652e636f6d010831302e" +
+	"302e302e31116d656469612e6578616d706c652e636f6d01020831302e302e30" +
+	"2e3106080002c801000000000000116d656469612e6578616d706c652e636f6d" +
+	"00000831302e302e302e31010002d81602f015c8150e00000a0006a001000000" +
+	"00000000116d656469612e6578616d706c652e636f6d0831302e302e302e3100" +
+	"0b0006c00100000000000000000831302e302e302e32000700048c1500000000" +
+	"9a01a81400000701110000000000019ab3e6cc99b3e6dc3f80808080808080f0" +
+	"3f020600c8150180808080808080f83f808080808080808c4004020180808080" +
+	"8080808040808080808080808440"
+
+func TestWriteBinaryPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := pinnedRun().WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != pinnedRunBinary {
+		t.Fatalf("CSIRUN bytes changed:\n got %s\nwant %s", got, pinnedRunBinary)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pinnedRun()
+	for i := range want.Trace.Packets {
+		if got.Trace.Packets[i] != want.Trace.Packets[i] {
+			t.Fatalf("packet %d: got %+v, want %+v", i, got.Trace.Packets[i], want.Trace.Packets[i])
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,18 +17,38 @@ import (
 )
 
 // The FrameReader's diagnostics are part of the durability story: when a
-// recording is damaged, the error must say exactly where (line, byte
-// offset), and a crash-truncated tail must be distinguishable from
+// recording is damaged, the error must say exactly where (record index,
+// byte offset), and a crash-truncated tail must be distinguishable from
 // corruption so recovery can tolerate the former while batch loading
 // rejects both.
 
+// encodeFrames renders frames as a binary frame stream.
+func encodeFrames(t *testing.T, frames ...Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrames(&buf, frames); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// prefixed renders one length-prefixed record of the frame stream.
+func prefixed(rec []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(rec))), rec...)
+}
+
+var (
+	frameA     = Frame{Flow: "a", Packet: packet.View{Time: 1, ConnID: 1, Size: 10}}
+	frameBEnd  = Frame{Flow: "b", Close: true}
+	frameCEnd  = Frame{Flow: "c", Close: true}
+	frameAWire = prefixed(appendFrameRecord(nil, &frameA))
+)
+
 func TestFrameReaderDecodeErrorPosition(t *testing.T) {
-	in := `{"flow":"a","packet":{"time":1,"conn":1,"len":10}}
-{"flow":"b","close":true}
-not json at all
-{"flow":"c","close":true}
-`
-	fr := NewFrameReader(strings.NewReader(in))
+	good := encodeFrames(t, frameA, frameBEnd)
+	damaged := prefixed([]byte{0x80, 0, 0}) // unknown frame flags
+	in := append(append(bytes.Clone(good), damaged...), prefixed(appendFrameRecord(nil, &frameCEnd))...)
+	fr := NewFrameReader(bytes.NewReader(in))
 	for i := 0; i < 2; i++ {
 		if _, err := fr.Next(); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -34,14 +56,14 @@ not json at all
 	}
 	_, err := fr.Next()
 	if err == nil {
-		t.Fatal("decode of garbage line succeeded")
+		t.Fatal("decode of a damaged record succeeded")
 	}
-	wantOffset := int64(len(`{"flow":"a","packet":{"time":1,"conn":1,"len":10}}` + "\n" + `{"flow":"b","close":true}` + "\n"))
-	if fr.Line() != 3 || fr.Offset() != wantOffset {
-		t.Fatalf("damage reported at line %d offset %d, want line 3 offset %d", fr.Line(), fr.Offset(), wantOffset)
+	wantOffset := int64(len(good))
+	if fr.Record() != 3 || fr.Offset() != wantOffset {
+		t.Fatalf("damage reported at record %d offset %d, want record 3 offset %d", fr.Record(), fr.Offset(), wantOffset)
 	}
-	if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "byte offset 77") {
-		t.Fatalf("error lacks position: %v", err)
+	if want := fmt.Sprintf("record 3 (byte offset %d)", wantOffset); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error lacks position %q: %v", want, err)
 	}
 	if errors.Is(err, ErrTruncatedTail) {
 		t.Fatalf("mid-stream corruption classified as truncated tail: %v", err)
@@ -50,34 +72,67 @@ not json at all
 	if _, err2 := fr.Next(); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("error not sticky: %v", err2)
 	}
+
+	// Damage the decoder must refuse before it allocates or reads on: a
+	// length prefix past the record bound, a zero length, a record with
+	// bytes after its packet, a name running past its record, and unknown
+	// packet flags.
+	header := good[:frameHeader]
+	tail := appendFrameRecord(nil, &frameA)
+	for name, rec := range map[string][]byte{
+		"oversized length": {0xff, 0xff, 0xff, 0x7f},
+		"zero length":      {0},
+		"trailing bytes":   prefixed(append(bytes.Clone(tail), 0)),
+		"name overrun":     prefixed([]byte{0, 9, 'a'}),
+		"packet flags":     prefixed([]byte{0, 1, 'a', 0x10}),
+	} {
+		_, err := ReadFrames(bytes.NewReader(append(bytes.Clone(header), rec...)))
+		if err == nil || errors.Is(err, ErrTruncatedTail) || !strings.Contains(err.Error(), "record 1 (byte offset 7)") {
+			t.Errorf("%s: got %v, want a positioned non-truncation error", name, err)
+		}
+	}
 }
 
 func TestFrameReaderTruncatedTail(t *testing.T) {
-	in := `{"flow":"a","packet":{"time":1,"conn":1,"len":10}}
-{"flow":"a","clo`
-	fr := NewFrameReader(strings.NewReader(in))
-	if _, err := fr.Next(); err != nil {
-		t.Fatal(err)
+	whole := encodeFrames(t, frameA, frameA)
+	for cut := len(whole) - len(frameAWire) + 1; cut < len(whole); cut++ {
+		fr := NewFrameReader(bytes.NewReader(whole[:cut]))
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := fr.Next()
+		if !errors.Is(err, ErrTruncatedTail) {
+			t.Fatalf("cut at %d: truncated final record not ErrTruncatedTail: %v", cut, err)
+		}
+		if fr.Record() != 2 {
+			t.Fatalf("cut at %d: truncation reported at record %d, want 2", cut, fr.Record())
+		}
+		// Batch loading still fails loudly on the same stream.
+		if _, err := ReadFrames(bytes.NewReader(whole[:cut])); !errors.Is(err, ErrTruncatedTail) {
+			t.Fatalf("cut at %d: ReadFrames tolerated a truncated tail: %v", cut, err)
+		}
 	}
-	_, err := fr.Next()
-	if !errors.Is(err, ErrTruncatedTail) {
-		t.Fatalf("truncated final line not ErrTruncatedTail: %v", err)
-	}
-	if fr.Line() != 2 {
-		t.Fatalf("truncation reported at line %d, want 2", fr.Line())
-	}
-	// Batch loading still fails loudly on the same stream.
-	if _, err := ReadFrames(strings.NewReader(in)); !errors.Is(err, ErrTruncatedTail) {
-		t.Fatalf("ReadFrames tolerated a truncated tail: %v", err)
+	// A header cut short is a truncated tail too.
+	if _, err := ReadFrames(bytes.NewReader(whole[:3])); !errors.Is(err, ErrTruncatedTail) {
+		t.Fatalf("truncated header: %v", err)
 	}
 }
 
-func TestFrameReaderFinalLineWithoutNewline(t *testing.T) {
-	// A complete record missing only its newline is a clean end of stream,
-	// not a truncated tail: the crash happened after the payload landed.
-	in := `{"flow":"a","packet":{"time":1,"conn":1,"len":10}}
-{"flow":"a","close":true}`
-	frames, err := ReadFrames(strings.NewReader(in))
+func TestFrameReaderFinalRecord(t *testing.T) {
+	// A stream whose final record is complete ends cleanly: the crash, if
+	// any, happened after the payload landed.
+	fr := NewFrameReader(bytes.NewReader(encodeFrames(t, frameA, frameBEnd)))
+	for i := 0; i < 2; i++ {
+		if _, err := fr.Next(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("end of stream %d: %v", i, err)
+		}
+	}
+	frames, err := ReadFrames(bytes.NewReader(encodeFrames(t, frameA, frameBEnd)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,35 +141,82 @@ func TestFrameReaderFinalLineWithoutNewline(t *testing.T) {
 	}
 }
 
-func TestFrameReaderSkipsBlankLines(t *testing.T) {
-	in := "\n{\"flow\":\"a\",\"close\":true}\n\n   \n{\"flow\":\"b\",\"close\":true}\n\n"
-	fr := NewFrameReader(strings.NewReader(in))
-	f1, err := fr.Next()
-	if err != nil || f1.Flow != "a" {
-		t.Fatalf("first frame %+v, %v", f1, err)
-	}
-	if fr.Line() != 2 {
-		t.Fatalf("first frame on line %d, want 2", fr.Line())
-	}
-	f2, err := fr.Next()
-	if err != nil || f2.Flow != "b" {
-		t.Fatalf("second frame %+v, %v", f2, err)
-	}
-	if fr.Line() != 5 {
-		t.Fatalf("second frame on line %d, want 5", fr.Line())
-	}
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("end of blank-padded stream: %v", err)
+func TestFrameReaderEmptyStream(t *testing.T) {
+	for name, in := range map[string][]byte{"no bytes": nil, "header only": encodeFrames(t)} {
+		fr := NewFrameReader(bytes.NewReader(in))
+		if _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("%s: EOF not sticky: %v", name, err)
+		}
 	}
 }
 
-func TestFrameReaderEmptyStream(t *testing.T) {
-	fr := NewFrameReader(strings.NewReader(""))
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("empty stream: %v", err)
+func TestFrameReaderWrongMagic(t *testing.T) {
+	for name, in := range map[string]string{
+		"jsonl":   `{"flow":"a","close":true}` + "\n",
+		"csirun":  "CSIRUN\x01",
+		"version": frameMagic + "\x02",
+	} {
+		_, err := ReadFrames(strings.NewReader(in))
+		if err == nil || errors.Is(err, ErrTruncatedTail) || !strings.Contains(err.Error(), "record 0 (byte offset 0)") {
+			t.Errorf("%s: got %v, want a header error", name, err)
+		}
 	}
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("EOF not sticky: %v", err)
+}
+
+// randomView draws a packet view over every field, with the rare string
+// fields on about one packet in five.
+func randomView(rng *rand.Rand) packet.View {
+	v := packet.View{
+		Time: rng.Float64() * 1e4, Dir: packet.Dir(rng.Intn(2)), Proto: packet.Proto(rng.Intn(2)),
+		ConnID: rng.Intn(64) - 8, Size: rng.Int63n(1 << 20), TCPSeq: rng.Int63() - 1<<62,
+		TCPPayload: rng.Int63n(1500), TLSAppBytes: rng.Int63n(1500), TLSHSBytes: rng.Int63n(300),
+		QUICPN: rng.Int63n(1 << 40), QUICPayload: rng.Int63n(1400), QUICLong: rng.Intn(2) == 0,
+	}
+	if rng.Intn(5) == 0 {
+		strs := []string{"", "media.example.com", "10.0.0.7", "\x00\xff", strings.Repeat("x", 300)}
+		v.SNI, v.ServerIP = strs[rng.Intn(len(strs))], strs[rng.Intn(len(strs))]
+		v.DNSQuery, v.DNSAnswerIP = strs[rng.Intn(len(strs))], strs[rng.Intn(len(strs))]
+	}
+	return v
+}
+
+// TestFrameCodecRoundTrip is the codec's property test: random frames,
+// close markers among them, survive the frame stream and the WAL payload
+// encoding unchanged, and a frame record carries exactly capture's packet
+// record after its flow name.
+func TestFrameCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 200; round++ {
+		frames := make([]Frame, rng.Intn(40))
+		for i := range frames {
+			frames[i] = Frame{Flow: fmt.Sprintf("flow-%d", rng.Intn(5))}
+			if rng.Intn(8) == 0 {
+				frames[i].Close = true
+			} else {
+				frames[i].Packet = randomView(rng)
+			}
+		}
+		got, err := ReadFrames(bytes.NewReader(encodeFrames(t, frames...)))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(got) != len(frames) || (len(frames) > 0 && !reflect.DeepEqual(got, frames)) {
+			t.Fatalf("round %d: stream round trip\n got %+v\nwant %+v", round, got, frames)
+		}
+		for i := range frames {
+			rec := appendFrameRecord(nil, &frames[i])
+			var f Frame
+			if err := decodeFrameRecord(rec, &f, nil); err != nil || f != frames[i] {
+				t.Fatalf("round %d frame %d: WAL payload round trip gave %+v, %v", round, i, f, err)
+			}
+			pkt := capture.AppendPacketRecord(nil, &frames[i].Packet)
+			if !bytes.HasSuffix(rec, pkt) || len(rec) != 1+len(binary.AppendUvarint(nil, uint64(len(frames[i].Flow))))+len(frames[i].Flow)+len(pkt) {
+				t.Fatalf("round %d frame %d: frame record does not end in the packet record", round, i)
+			}
+		}
 	}
 }
 

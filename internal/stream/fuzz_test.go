@@ -50,12 +50,14 @@ func fuzzSeedFrames(tb testing.TB) []byte {
 // FuzzWALRecord drives the WAL salvage scanner with arbitrary segment
 // bytes: it must never panic, never read past the buffer, and whatever it
 // salvages must re-encode to exactly the valid prefix it reported — the
-// round trip that recovery's replay depends on. Seeds cover the shapes the
-// crash matrix produces for real: torn writes, bit flips, zero-length
-// records and oversized length prefixes, in frame-WAL and commit-log
-// (checkpoint) segments alike.
+// round trip that recovery's replay depends on. Every salvaged payload then
+// goes through the frame record decoder recovery uses, which must reject
+// or decode it without panicking. Seeds cover the shapes the crash matrix
+// produces for real: torn writes, bit flips, zero-length records and
+// oversized length prefixes, in frame-WAL and commit-log (checkpoint)
+// segments alike.
 func FuzzWALRecord(f *testing.F) {
-	rec := func(seq uint64, payload string) []byte { return encodeWALRecord(seq, []byte(payload)) }
+	rec := func(seq uint64, payload string) []byte { return appendWALRecord(nil, seq, []byte(payload)) }
 	valid := append(append(rec(1, `{"flow":"a"}`), rec(2, `{"flow":"b"}`)...), rec(3, `{"close":true}`)...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])     // torn write
@@ -74,12 +76,26 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		return encodeWALRecord(seq, payload)
+		return appendWALRecord(nil, seq, payload)
 	}
 	commitLog := append(ckpt(1, checkpoint{Seq: 512, First: 1, VNow: 3.25}),
 		ckpt(2, checkpoint{Seq: 1024, First: 1025, VNow: 7.5, Results: []Result{{Flow: "a", Reason: ReasonClose, Packets: 9}}})...)
 	f.Add(commitLog)
 	f.Add(commitLog[:len(commitLog)-3]) // torn final checkpoint
+	// Binary frame records, as the frame WAL holds them.
+	var frameLog []byte
+	for i, fr := range []Frame{
+		{Flow: "a", Packet: packet.View{Time: 0.5, ConnID: 1, Size: 1452, SNI: "media.example.com"}},
+		{Flow: "b", Packet: packet.View{Time: 0.75, ConnID: 2, Dir: packet.Down, Proto: packet.UDP, QUICPN: 9}},
+		{Flow: "a", Close: true},
+	} {
+		frameLog = appendWALRecord(frameLog, uint64(i+1), appendFrameRecord(nil, &fr))
+	}
+	f.Add(frameLog)
+	f.Add(frameLog[:len(frameLog)-4]) // torn frame record
+	f.Add(append(bytes.Clone(frameLog), oversized...))
+	f.Add(append(bytes.Clone(frameLog), rec(4, "\x40\x01a\x00")...)) // bad frame flags
+	f.Add(append(bytes.Clone(frameLog), rec(4, "\x00\x01a\x20")...)) // bad packet flags
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validLen, torn, reason := scanSegment(data, 0)
@@ -99,23 +115,34 @@ func FuzzWALRecord(f *testing.F) {
 			if i > 0 && r.seq != recs[i-1].seq+1 {
 				t.Fatalf("salvaged records not contiguous: %d after %d", r.seq, recs[i-1].seq)
 			}
-			reenc = append(reenc, encodeWALRecord(r.seq, r.payload)...)
+			reenc = appendWALRecord(reenc, r.seq, r.payload)
 		}
 		if !bytes.Equal(reenc, data[:validLen]) {
 			t.Fatalf("salvaged records re-encode to %d bytes differing from the %d-byte valid prefix", len(reenc), validLen)
+		}
+		for _, r := range recs {
+			var fm, again Frame
+			if decodeFrameRecord(r.payload, &fm, nil) != nil {
+				continue
+			}
+			if err := decodeFrameRecord(appendFrameRecord(nil, &fm), &again, nil); err != nil || again != fm {
+				t.Fatalf("decoded frame %+v does not survive re-encoding: %+v, %v", fm, again, err)
+			}
 		}
 	})
 }
 
 // FuzzStreamIngest drives the full ingest surface — FrameReader decoding and
 // a tiny-budget Monitor (2-flow table, ~4 KiB per-flow memory budget, instant
-// idle eviction) — with arbitrary bytes. Truncated packets, unknown fields,
-// interleaved and colliding flow names, out-of-order timestamps and
-// mid-handshake eviction must all land as errors or partial results.
+// idle eviction) — with arbitrary bytes. Truncated records, unknown flags,
+// implausible lengths, interleaved and colliding flow names, out-of-order
+// timestamps and mid-handshake eviction must all land as errors or partial
+// results. The JSON seeds predate the binary frame stream and now exercise
+// its header check.
 func FuzzStreamIngest(f *testing.F) {
 	valid := fuzzSeedFrames(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncated mid-line
+	f.Add(valid[:len(valid)/2]) // truncated mid-record
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(`{"flow":"x","close":true}` + "\n"))
 	f.Add([]byte(`{"flow":"x","packet":{"time":-1,"conn":-7,"len":-3,"sni":"\u0000"}}` + "\n"))
@@ -128,6 +155,26 @@ func FuzzStreamIngest(f *testing.F) {
 {"flow":"a","packet":{"time":2,"conn":1,"len":50}}
 `))
 	f.Add([]byte("not json at all\n{\"flow\":\"y\",\"packet\":{\"time\":1}}\n"))
+	// Binary damage: a record cut short, a length prefix past the record
+	// bound, unknown frame and packet flags.
+	header := valid[:frameHeader]
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(bytes.Clone(header), 0xff, 0xff, 0xff, 0x7f))
+	f.Add(append(bytes.Clone(header), 4, 0x02, 1, 'x', 0))
+	f.Add(append(bytes.Clone(header), 4, 0x00, 1, 'x', 0x30))
+	// Out-of-order timestamps and an eviction-forcing third flow, binary.
+	var evict bytes.Buffer
+	if err := WriteFrames(&evict, []Frame{
+		{Flow: "a", Packet: packet.View{Time: 9, ConnID: 1, Size: 100}},
+		{Flow: "b", Packet: packet.View{Time: 1, ConnID: 1, Size: 100}},
+		{Flow: "c", Packet: packet.View{Time: 1e308, ConnID: 2, Size: 1}},
+		{Flow: "a", Packet: packet.View{Time: 0.5, ConnID: 1, Size: 100, SNI: "media.example.com"}},
+		{Flow: "a", Close: true},
+		{Flow: "a", Packet: packet.View{Time: 2, ConnID: 1, Size: 50}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(evict.Bytes())
 
 	man := fuzzManifest()
 	f.Fuzz(func(t *testing.T, data []byte) {

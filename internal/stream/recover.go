@@ -74,17 +74,19 @@ type recovery struct {
 // Durability is a monitor's crash-safety layer over one state directory:
 // the frame WAL plus a commit log of checkpoints (DESIGN.md §13).
 // OpenDurability recovers whatever a previous process left behind; Recover
-// seeds a monitor from it; the monitor then calls appendFrame before
-// applying each new frame and writeCheckpoint at quiescent points.
+// seeds a monitor from it; the monitor then calls appendFrames before
+// applying each batch of new frames and writeCheckpoint at quiescent
+// points.
 //
 // All append/checkpoint methods run on the monitor's control goroutine;
 // Status is safe from any goroutine (the live /statusz plane).
 type Durability struct {
 	dir   string
 	opts  DurabilityOptions
-	w     *wal // frame WAL
-	log   *wal // commit log: one record per checkpoint
-	every int  // checkpoint cadence in frames (checkpointEvery)
+	w     *wal   // frame WAL
+	log   *wal   // commit log: one record per checkpoint
+	every int    // checkpoint cadence in frames (checkpointEvery)
+	rec   []byte // reused frame record scratch
 
 	// Recovered state, consumed by Recover.
 	ck        checkpoint  // last checkpoint, Results holding every restored result
@@ -97,7 +99,7 @@ type Durability struct {
 	// mu guards the fields below (written by the control goroutine, read
 	// by Status from the live plane).
 	mu           sync.Mutex
-	sinceSync    int // frames appended since the last fsync
+	sinceSync    int // frames appended since the last fsync; appendFrames reads it unlocked (it is the writer)
 	sinceCkpt    int // frames appended since the last checkpoint
 	lastCkptSeq  uint64
 	retainedFrom uint64 // redo point of the last checkpoint: the WAL is kept from here
@@ -278,58 +280,73 @@ func (d *Durability) isFailed() bool {
 	return d.failed
 }
 
-// appendFrame logs one accepted frame before the monitor applies it.
-// Called by handleFrame on the control goroutine for every frame past
-// baseSeq.
-func (d *Durability) appendFrame(seq uint64, f *Frame) {
+// appendFrames logs a batch of accepted frames, numbered from first,
+// before the monitor applies any of them (group commit, DESIGN.md §13):
+// their records go out in one write, split only where an fsync is due, so
+// interval fsyncs still land exactly every SyncEvery frames.
+// wal.pre_append and wal.post_append fire once per frame. Control
+// goroutine only.
+func (d *Durability) appendFrames(first uint64, frames []Frame) {
 	if d.isFailed() {
 		return
 	}
-	crashpointHere("wal.pre_append")
-	payload, err := json.Marshal(f)
-	if err != nil {
-		d.fail(fmt.Errorf("stream: encoding wal frame: %w", err))
-		return
+	for range frames {
+		crashpointHere("wal.pre_append")
 	}
-	n, err := d.w.append(seq, payload)
+	unsynced, written := d.sinceSync, 0
+	err := func() error {
+		for i := range frames {
+			d.rec = appendFrameRecord(d.rec[:0], &frames[i])
+			n, err := d.w.stage(first+uint64(i), d.rec)
+			written += n
+			if err != nil {
+				return err
+			}
+			unsynced++
+			if d.opts.SyncPolicy == SyncAlways || (d.opts.SyncPolicy == SyncInterval && unsynced >= d.opts.SyncEvery) {
+				n, err := d.w.flush()
+				written += n
+				if err == nil {
+					err = d.w.sync()
+				}
+				if err != nil {
+					return err
+				}
+				d.cWALFsyncs.Inc()
+				unsynced = 0
+			}
+		}
+		n, err := d.w.flush()
+		written += n
+		return err
+	}()
+	d.cWALBytes.Add(int64(written))
+	d.mu.Lock()
+	d.walBytes += int64(written)
+	d.sinceSync = unsynced
+	if err == nil {
+		d.sinceCkpt += len(frames)
+	}
+	d.gWALLag.Set(float64(d.sinceSync))
+	d.gCkptAge.Set(float64(d.sinceCkpt))
+	d.mu.Unlock()
 	if err != nil {
 		d.fail(err)
 		return
 	}
-	d.cWALBytes.Add(int64(n))
-	d.cWALAppends.Inc()
-	sync := d.opts.SyncPolicy == SyncAlways
-	d.mu.Lock()
-	d.walBytes += int64(n)
-	d.sinceSync++
-	d.sinceCkpt++
-	if d.opts.SyncPolicy == SyncInterval && d.sinceSync >= d.opts.SyncEvery {
-		sync = true
+	d.cWALAppends.Add(int64(len(frames)))
+	for range frames {
+		crashpointHere("wal.post_append")
 	}
-	d.mu.Unlock()
-	if sync {
-		if err := d.w.sync(); err != nil {
-			d.fail(err)
-			return
-		}
-		d.cWALFsyncs.Inc()
-		d.mu.Lock()
-		d.sinceSync = 0
-		d.mu.Unlock()
-	}
-	d.mu.Lock()
-	d.gWALLag.Set(float64(d.sinceSync))
-	d.gCkptAge.Set(float64(d.sinceCkpt))
-	d.mu.Unlock()
-	crashpointHere("wal.post_append")
 }
 
-// checkpointDue reports whether enough frames accumulated since the last
-// checkpoint; the monitor then checkpoints at its next quiescent point.
-func (d *Durability) checkpointDue() bool {
+// checkpointDue reports whether a checkpoint is due once frame seq has
+// been applied: every frames since the last checkpoint. The monitor then
+// checkpoints at its next quiescent point.
+func (d *Durability) checkpointDue(seq uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return !d.failed && d.sinceCkpt >= d.every
+	return !d.failed && seq >= d.lastCkptSeq+uint64(d.every)
 }
 
 // writeCheckpoint makes a checkpoint durable, then garbage-collects the WAL
@@ -464,9 +481,10 @@ func Recover(d *Durability, opts Options) *Recovered {
 	// goroutine reads it.
 	r := &recovery{ck: d.ck}
 	var tail []Frame
+	names := flowNames{}
 	for _, rec := range d.redo {
 		var f Frame
-		if err := json.Unmarshal(rec.payload, &f); err != nil {
+		if err := decodeFrameRecord(rec.payload, &f, names); err != nil {
 			// CRC-clean but unparseable: corruption the checksum cannot
 			// see. Salvage stops here; the records behind it are
 			// unanchored, and the on-disk log is no longer consistent
@@ -578,7 +596,7 @@ func (m *Monitor) restore(r *recovery) {
 // identical bytes.
 func (m *Monitor) maybeCheckpoint() {
 	d := m.opts.Durable
-	if d == nil || !d.checkpointDue() {
+	if d == nil || !d.checkpointDue(m.seq) {
 		return
 	}
 	m.mu.Lock()

@@ -127,7 +127,7 @@ func TestRecoverWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
+		d.appendFrames(uint64(i+1), frames[i:i+1])
 	}
 	// No close: the process "dies" here with the WAL as its only legacy.
 
@@ -167,7 +167,7 @@ func TestRecoverCorruptWALSalvages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
+		d.appendFrames(uint64(i+1), frames[i:i+1])
 	}
 	segs := walSegsOnDisk(t, dir)
 	if len(segs) < 2 {
@@ -220,7 +220,7 @@ func TestRecoverTornWALTailWarns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		d.appendFrame(uint64(i+1), &frames[i])
+		d.appendFrames(uint64(i+1), frames[i:i+1])
 	}
 	if _, err := d.w.f.Write([]byte{9, 9, 9}); err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ type crashFixture struct{ manifest, frames string }
 func writeCrashFixture(t *testing.T, man *media.Manifest, frames []Frame) crashFixture {
 	t.Helper()
 	dir := t.TempDir()
-	fx := crashFixture{manifest: filepath.Join(dir, "man.json"), frames: filepath.Join(dir, "frames.jsonl")}
+	fx := crashFixture{manifest: filepath.Join(dir, "man.json"), frames: filepath.Join(dir, "frames.bin")}
 	if err := man.SaveJSON(fx.manifest); err != nil {
 		t.Fatal(err)
 	}

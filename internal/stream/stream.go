@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"csi/internal/capture"
 	"csi/internal/core"
@@ -62,9 +63,12 @@ type Options struct {
 	// FlowMemBudget caps the approximate buffered bytes of one flow;
 	// breaching it finalizes the flow to a partial result. Default 64 MiB.
 	FlowMemBudget int64
-	// RingSize bounds the ingest ring (frames). Default 4096.
+	// RingSize bounds the ingest ring (frames). Default DefaultRingSize.
 	RingSize int
-	// ShedPolicy is ShedDrop (default) or ShedBlock.
+	// ShedPolicy is ShedDrop (default) or ShedBlock. Under ShedBlock the
+	// control loop also stops taking frames while Workers finalized flows
+	// await their results, so a fast producer blocks in Ingest instead of
+	// queueing frames behind the solves.
 	ShedPolicy string
 	// ResolveEvery re-solves a flow after this many new packets, keeping a
 	// provisional inference warm for the status page. 0 disables mid-flow
@@ -113,6 +117,11 @@ type Options struct {
 	restore *recovery
 }
 
+// DefaultRingSize is the ingest ring's default capacity in frames. Once a
+// producer outruns the control loop every queued frame is pure latency, so
+// the ring only needs to absorb bursts (DESIGN.md §12).
+const DefaultRingSize = 256
+
 func (o Options) withDefaults() Options {
 	if o.MaxFlows <= 0 {
 		o.MaxFlows = 64
@@ -121,7 +130,7 @@ func (o Options) withDefaults() Options {
 		o.FlowMemBudget = 64 << 20
 	}
 	if o.RingSize <= 0 {
-		o.RingSize = 4096
+		o.RingSize = DefaultRingSize
 	}
 	if o.ShedPolicy == "" {
 		o.ShedPolicy = ShedDrop
@@ -189,12 +198,12 @@ type Monitor struct {
 	ctrl    chan solveDone
 	doneCh  chan struct{}
 	wg      sync.WaitGroup
+	stopped atomic.Bool // Drain has begun: Ingest refuses frames
 
 	// mu guards the maps and slices also read from other goroutines
-	// (Ingest's stop check, workers' flow lookup, Status, Drain's result
-	// pickup). The control goroutine is the only writer.
+	// (workers' flow lookup, Status, Drain's result pickup). The control
+	// goroutine is the only writer.
 	mu      sync.Mutex
-	stopped bool
 	flows   map[string]*flowState
 	closed  map[string]bool // committed flows; late frames are dropped
 	results []Result
@@ -205,8 +214,10 @@ type Monitor struct {
 	finalSeq    uint64
 	commitNext  uint64
 	uncommitted map[uint64]Result
-	solveQ      []string
-	liveFlows   int // flows not yet finalizing
+	finalQ      []string // queued final solves, dispatched first
+	provQ       []string // queued provisional solves
+	batch       []Frame  // reused ingest batch
+	liveFlows   int      // flows not yet finalizing
 	draining    bool
 	// checkpointed counts the results already in a checkpoint (Durable).
 	checkpointed int
@@ -239,7 +250,7 @@ func New(opts Options) *Monitor {
 		man:         opts.Manifest,
 		ring:        make(chan Frame, opts.RingSize),
 		drainCh:     make(chan struct{}),
-		tasks:       make(chan string, opts.Workers*2),
+		tasks:       make(chan string, opts.Workers),
 		ctrl:        make(chan solveDone, opts.Workers*2),
 		doneCh:      make(chan struct{}),
 		flows:       make(map[string]*flowState),
@@ -276,10 +287,7 @@ func New(opts Options) *Monitor {
 // ShedBlock it blocks until the control loop catches up. Returns false
 // without ingesting once Drain has begun.
 func (m *Monitor) Ingest(f Frame) bool {
-	m.mu.Lock()
-	stopped := m.stopped
-	m.mu.Unlock()
-	if stopped {
+	if m.stopped.Load() {
 		return false
 	}
 	if m.opts.ShedPolicy == ShedBlock {
@@ -306,12 +314,9 @@ func (m *Monitor) Ingest(f Frame) bool {
 // for the pool to wind down and returns all results in commit order. Safe
 // to call once; Ingest returns false afterwards.
 func (m *Monitor) Drain() []Result {
-	m.mu.Lock()
-	if !m.stopped {
-		m.stopped = true
+	if !m.stopped.Swap(true) {
 		close(m.drainCh)
 	}
-	m.mu.Unlock()
 	<-m.doneCh
 	m.wg.Wait()
 	d := m.opts.Durable
@@ -378,10 +383,14 @@ func (m *Monitor) Status() any {
 func (m *Monitor) run() {
 	ring, drain := m.ring, m.drainCh
 	for {
+		in := ring
+		if m.backlogged() {
+			in = nil // back-pressure: the ring fills and Ingest blocks
+		}
 		//csi-vet:ignore taint -- control select: frame handling and solve completions commute (a solving flow's trace is frozen; arrivals buffer in pending), and results commit strictly in finalization-sequence order, so the firing order never reaches an output
 		select {
-		case f := <-ring:
-			m.handleFrame(f)
+		case f := <-in:
+			m.ingest(f)
 		case d := <-m.ctrl:
 			m.handleDone(d)
 		case <-drain:
@@ -398,6 +407,56 @@ func (m *Monitor) run() {
 	}
 }
 
+// backlogged reports whether the control loop should stop taking frames:
+// under ShedBlock only, while at least Workers finalized flows still await
+// their results. Reading frames faster than finals commit only queues them
+// in the flow table, where each one adds to every later result's lag.
+func (m *Monitor) backlogged() bool {
+	awaiting := int(m.finalSeq-m.commitNext) - len(m.uncommitted)
+	return m.opts.ShedPolicy == ShedBlock && awaiting >= m.opts.Workers
+}
+
+// ingest group-commits f and the frames already waiting behind it in the
+// ring: their WAL records go out in one write (Durability.appendFrames)
+// before any of them is applied, so WAL-before-mutation holds per batch.
+// Frames then apply one at a time, each followed by the dispatch and
+// checkpoint steps a lone frame gets. A batch ends at a frame after which
+// a checkpoint is due, so checkpoints land at the same frames as without
+// batching.
+func (m *Monitor) ingest(f Frame) {
+	d := m.opts.Durable
+	batch := append(m.batch[:0], f)
+	for len(batch) < m.opts.RingSize && (d == nil || !d.checkpointDue(m.seq+uint64(len(batch)))) {
+		//csi-vet:ignore taint -- batch sweep: only takes frames already in the ring FIFO, so the batch boundary never changes which frames apply or in what order
+		select {
+		case next := <-m.ring:
+			batch = append(batch, next)
+			continue
+		default:
+		}
+		break
+	}
+	if d != nil {
+		// Frames at or below baseSeq are the recovery tail, already in
+		// the WAL.
+		first := m.seq + 1
+		skip := uint64(0)
+		if d.baseSeq >= first {
+			skip = min(uint64(len(batch)), d.baseSeq-first+1)
+		}
+		if int(skip) < len(batch) {
+			d.appendFrames(first+skip, batch[skip:])
+		}
+	}
+	for i := range batch {
+		m.handleFrame(&batch[i])
+		m.dispatch()
+		m.maybeCheckpoint()
+	}
+	clear(batch)
+	m.batch = batch[:0]
+}
+
 func (m *Monitor) flowCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -412,7 +471,7 @@ func (m *Monitor) beginDrain() {
 		//csi-vet:ignore taint -- drain sweep: Ingest is already refusing frames, so the ring can only shrink; the default arm just detects empty
 		select {
 		case f := <-m.ring:
-			m.handleFrame(f)
+			m.ingest(f)
 			continue
 		default:
 		}
@@ -434,15 +493,11 @@ func (m *Monitor) beginDrain() {
 	}
 }
 
-func (m *Monitor) handleFrame(f Frame) {
+// handleFrame applies one frame to the flow table; ingest has already
+// logged it.
+func (m *Monitor) handleFrame(f *Frame) {
 	m.cFrames.Inc()
 	m.seq++
-	if d := m.opts.Durable; d != nil && m.seq > d.baseSeq {
-		// Write-ahead: the frame is durable before any state it mutates.
-		// Frames at or below baseSeq are the recovery tail — already in
-		// the WAL.
-		d.appendFrame(m.seq, &f)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -473,10 +528,10 @@ func (m *Monitor) handleFrame(f Frame) {
 		m.finalize(fs, ReasonClose)
 		return
 	}
-	v := f.Packet
+	v := &f.Packet
 	fs.packets++
-	fs.bytes += frameBytes(&v)
-	m.gBuffer.Add(float64(frameBytes(&v)))
+	fs.bytes += frameBytes(v)
+	m.gBuffer.Add(float64(frameBytes(v)))
 	if v.Time > fs.lastTime {
 		fs.lastTime = v.Time
 	}
@@ -484,9 +539,9 @@ func (m *Monitor) handleFrame(f Frame) {
 		m.vnow = v.Time
 	}
 	if fs.solving {
-		fs.pending = append(fs.pending, v)
+		fs.pending = append(fs.pending, *v)
 	} else {
-		fs.tap(v, v.Time)
+		fs.tap(*v, v.Time)
 	}
 
 	if fs.bytes > m.opts.FlowMemBudget {
@@ -583,19 +638,29 @@ func (m *Monitor) schedule(fs *flowState, final bool) {
 	fs.solvedAt = fs.packets
 	if final {
 		fs.finalIssued = true
+		m.finalQ = append(m.finalQ, fs.name)
+		return
 	}
-	m.solveQ = append(m.solveQ, fs.name)
+	m.provQ = append(m.provQ, fs.name)
 }
 
 // dispatch moves queued solves to the worker pool without ever blocking the
-// control loop (the queue is the overflow buffer; tasks capacity only sizes
-// the handoff).
+// control loop (the queues are the overflow buffer; tasks capacity only
+// sizes the handoff). Final solves go first: a result is waiting on each,
+// while a provisional solve only refreshes the status page.
 func (m *Monitor) dispatch() {
-	for len(m.solveQ) > 0 {
+	for {
+		q := &m.finalQ
+		if len(*q) == 0 {
+			q = &m.provQ
+		}
+		if len(*q) == 0 {
+			return
+		}
 		//csi-vet:ignore taint -- handoff select: whether a solve starts now or after the next control iteration only shifts provisional work; final results commit in finalization order regardless
 		select {
-		case m.tasks <- m.solveQ[0]:
-			m.solveQ = m.solveQ[1:]
+		case m.tasks <- (*q)[0]:
+			*q = (*q)[1:]
 		default:
 			return
 		}

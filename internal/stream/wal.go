@@ -23,7 +23,7 @@ import (
 //
 //	u32le payload length | u32le CRC32-IEEE(seq || payload) | u64le seq | payload
 //
-// where the payload is the frame's canonical JSON (the wire format), or a
+// where the payload is the frame's record (its wire bytes, frame.go), or a
 // checkpoint's JSON in the commit log, whose seq numbers checkpoints. The
 // reader is a salvage scanner: a torn record at the tail of the *final*
 // segment is the expected shape of a crash mid-write and is tolerated
@@ -115,9 +115,13 @@ type wal struct {
 	segBytes int64
 	segs     []walSeg
 	f        *os.File // open tail segment, nil until the first append
-	size     int64    // bytes in the open segment
-	lastSeq  uint64
+	size     int64    // bytes written to the open segment
+	lastSeq  uint64   // last written record
 	closed   bool
+
+	// Staged records, written to the open segment by the next flush.
+	pend                []byte
+	pendFirst, pendLast uint64
 }
 
 // isSegName reports whether name is a segment of the log with this prefix.
@@ -256,45 +260,78 @@ func truncateSalvage(path string, validLen int64) error {
 	return nil
 }
 
-// encodeWALRecord renders one durable record: length and CRC header, then
-// seq and payload (the CRC covers both).
-func encodeWALRecord(seq uint64, payload []byte) []byte {
-	rec := make([]byte, walHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[8:], seq)
-	copy(rec[walHeaderBytes:], payload)
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
-	return rec
+// appendWALRecord appends one durable record to dst: length and CRC
+// header, then seq and payload (the CRC covers both).
+func appendWALRecord(dst []byte, seq uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(dst[start+8:]))
+	return dst
 }
 
-// append writes one record. Rotation happens before the write, so a record
-// never spans segments. Returns the bytes written.
-func (w *wal) append(seq uint64, payload []byte) (int, error) {
+// stage queues one record for the next flush. Rotation happens first when
+// the record would overflow the open segment, so a record never spans
+// segments; the records already staged are flushed to the old segment, and
+// their bytes are returned.
+func (w *wal) stage(seq uint64, payload []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("stream: append to closed wal")
 	}
 	if len(payload) == 0 || len(payload) > walMaxRecordBytes {
 		return 0, fmt.Errorf("stream: wal payload of %d bytes out of range", len(payload))
 	}
-	need := int64(walHeaderBytes + len(payload))
-	if w.f == nil || (w.size > 0 && w.size+need > w.segBytes) {
+	n := 0
+	used := w.size + int64(len(w.pend))
+	if w.f == nil || (used > 0 && used+int64(walHeaderBytes+len(payload)) > w.segBytes) {
+		var err error
+		if n, err = w.flush(); err != nil {
+			return n, err
+		}
 		if err := w.rotate(seq); err != nil {
-			return 0, err
+			return n, err
 		}
 	}
-	n, err := w.f.Write(encodeWALRecord(seq, payload))
-	w.size += int64(n)
-	if err != nil {
-		return n, fmt.Errorf("stream: wal append seq %d: %w", seq, err)
+	if len(w.pend) == 0 {
+		w.pendFirst = seq
 	}
-	w.lastSeq = seq
-	seg := &w.segs[len(w.segs)-1]
-	if seg.first == 0 {
-		seg.first = seq
-	}
-	seg.last = seq
-	seg.size = w.size
+	w.pend = appendWALRecord(w.pend, seq, payload)
+	w.pendLast = seq
 	return n, nil
+}
+
+// flush writes the staged records to the open segment with one write and
+// returns the bytes written.
+func (w *wal) flush() (int, error) {
+	if len(w.pend) == 0 {
+		return 0, nil
+	}
+	n, err := w.f.Write(w.pend)
+	w.size += int64(n)
+	w.pend = w.pend[:0]
+	seg := &w.segs[len(w.segs)-1]
+	seg.size = w.size
+	if err != nil {
+		return n, fmt.Errorf("stream: wal append seq %d-%d: %w", w.pendFirst, w.pendLast, err)
+	}
+	w.lastSeq = w.pendLast
+	if seg.first == 0 {
+		seg.first = w.pendFirst
+	}
+	seg.last = w.pendLast
+	return n, nil
+}
+
+// append writes one record and returns the bytes written.
+func (w *wal) append(seq uint64, payload []byte) (int, error) {
+	n, err := w.stage(seq, payload)
+	if err != nil {
+		return n, err
+	}
+	m, err := w.flush()
+	return n + m, err
 }
 
 // rotate seals the open segment (synced — a finished segment is always

@@ -155,11 +155,20 @@ echo "== streaming monitor replay byte-identity"
 # runs (clean + impaired) into one interleaved recording, run it through
 # the incremental monitor (provisional solves every 500 packets) and
 # through the batch reference, and compare outputs bit for bit.
-go run ./cmd/csi-monitord -pack -o "$obstmp/frames.jsonl" "$obstmp/run.json" "$obstmp/fault1.json"
+# -pack reports "packed N frames (M flows)" on stderr; N sizes the crash
+# matrix below (the recording is binary, so it has no lines to count).
+go run ./cmd/csi-monitord -pack -o "$obstmp/frames.bin" "$obstmp/run.json" "$obstmp/fault1.json" \
+    2> "$obstmp/pack.log" || { cat "$obstmp/pack.log" >&2; exit 1; }
+cat "$obstmp/pack.log"
+n=$(sed -n 's/^packed \([0-9][0-9]*\) frames .*/\1/p' "$obstmp/pack.log")
+if [ -z "$n" ]; then
+    echo "-pack did not report its frame count" >&2
+    exit 1
+fi
 go run ./cmd/csi-monitord -manifest "$obstmp/man.json" -resolve-every 500 \
-    -replay "$obstmp/frames.jsonl" -o "$obstmp/replay.jsonl"
+    -replay "$obstmp/frames.bin" -o "$obstmp/replay.jsonl"
 go run ./cmd/csi-monitord -manifest "$obstmp/man.json" \
-    -batch "$obstmp/frames.jsonl" -o "$obstmp/batch.jsonl"
+    -batch "$obstmp/frames.bin" -o "$obstmp/batch.jsonl"
 cmp "$obstmp/replay.jsonl" "$obstmp/batch.jsonl"
 
 echo "== streaming monitor eviction smoke (tiny flow table)"
@@ -167,7 +176,7 @@ echo "== streaming monitor eviction smoke (tiny flow table)"
 # a partial result carrying the structured flow_evicted warning — the
 # robustness envelope degrades, never crashes.
 go run ./cmd/csi-monitord -manifest "$obstmp/man.json" -max-flows 1 \
-    -replay "$obstmp/frames.jsonl" -o "$obstmp/evict.jsonl"
+    -replay "$obstmp/frames.bin" -o "$obstmp/evict.jsonl"
 grep -q 'flow_evicted' "$obstmp/evict.jsonl"
 
 echo "== crash-recovery matrix (kill -> recover -> byte-identical)"
@@ -180,10 +189,9 @@ echo "== crash-recovery matrix (kill -> recover -> byte-identical)"
 # only the two highest-value points run (a mid-stream WAL append and the
 # durable-checkpoint boundary); the full matrix covers all eight.
 go build -o "$obstmp/csi-monitord" ./cmd/csi-monitord
-n=$(wc -l < "$obstmp/frames.jsonl")
 "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
     -state-dir "$obstmp/durable-clean" \
-    -replay "$obstmp/frames.jsonl" -o "$obstmp/durable.jsonl" 2> /dev/null
+    -replay "$obstmp/frames.bin" -o "$obstmp/durable.jsonl" 2> /dev/null
 cmp "$obstmp/durable.jsonl" "$obstmp/replay.jsonl"
 crashpoints="wal.pre_append@$((n / 3)) wal.post_append@$((n / 2)) checkpoint.pre_append checkpoint.post_append checkpoint.post_sync gc.post_remove commit.pre_emit drain.pre_checkpoint"
 if [ "$QUICK" = 1 ]; then
@@ -194,14 +202,14 @@ for pt in $crashpoints; do
     rc=0
     CSI_CRASHPOINT="$pt" "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
         -state-dir "$sdir" \
-        -replay "$obstmp/frames.jsonl" -o "$sdir.out" > /dev/null 2>&1 || rc=$?
+        -replay "$obstmp/frames.bin" -o "$sdir.out" > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 86 ]; then
         echo "crashpoint $pt: expected exit 86 from the armed run, got $rc" >&2
         exit 1
     fi
     "$obstmp/csi-monitord" -manifest "$obstmp/man.json" -resolve-every 500 \
         -state-dir "$sdir" \
-        -replay "$obstmp/frames.jsonl" -o "$sdir.out" 2> /dev/null
+        -replay "$obstmp/frames.bin" -o "$sdir.out" 2> /dev/null
     cmp "$sdir.out" "$obstmp/replay.jsonl"
 done
 
